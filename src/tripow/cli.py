@@ -160,7 +160,7 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
         raise ValueError("scan requires --m-max")
     print(
         f"scanning pairs with m <= {config.m_max}, cap {config.cap}, "
-        f"{config.jobs} worker(s)",
+        f"up to {config.jobs} worker(s)",
         file=sys.stderr,
     )
     summary = scan_range(config.m_max, config.cap, jobs=config.jobs)

@@ -55,11 +55,15 @@ def perfect_power_exponent(N: int, base: int):
     """
     if N < 1 or base < 2:
         raise ValueError("requires N >= 1 and base >= 2")
-    if N == 1:
+    if N == 1 or N % base:
         return None
-    # y is at most log_base(N); walk up with exact multiplication.
-    y = 0
-    acc = 1
+    # A float log only picks the starting exponent; exact steps from
+    # base^y down, then up, decide, so a bad estimate costs time only.
+    y = int(math.log(N) / math.log(base))
+    acc = base**y
+    while acc > N:
+        acc //= base
+        y -= 1
     while acc < N:
         acc *= base
         y += 1

@@ -1,11 +1,12 @@
 """Exact solvers for a^x + b^y = c^z and the Gaussian-integer structure
 checks behind the k, l parametrization.
 
-Two solver routes are kept deliberately separate: a pruned solver whose
-filters are all necessary conditions (they can skip work, never a real
-solution), and a reference solver that tries every (x, y, z) triple with
-exact big-integer arithmetic.  A scan compares them on overlapping
-ranges.
+Two solver routes are kept deliberately separate: a dominant-term
+solver, which for each z tests only the one power of a and the one
+power of b that can be the larger term of c^z (at most two exact
+perfect-power checks per z), and a reference solver that tries every
+(x, y, z) triple with exact big-integer arithmetic.  Tests compare them
+on overlapping ranges.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .numerics import (
     perfect_power_exponent,
     val_p,
 )
-from .residues import quadratic_sieve
 from .triples import PrimPair, iter_pairs, triple_of
 
 __all__ = [
@@ -73,56 +73,47 @@ def _record(pair: PrimPair, x: int, y: int, z: int) -> SolutionRecord:
     return SolutionRecord(pair, sol, sol.all_even() and (x, y, z) != (2, 2, 2))
 
 
-_FILTER_MODULI = (16, 3, 5, 7, 13)
+def _dominant_term_solutions(a: int, b: int, c: int, cap: int) -> list[tuple[int, int, int]]:
+    """Sorted (x, y, z) with a^x + b^y = c^z and 1 <= x, y, z <= cap.
+
+    Bases are integers >= 2.  A solution puts max(a^x, b^y) in
+    [c^z / 2, c^z), and a window that narrow holds at most one power of
+    a base >= 2: the largest one below c^z, when it is at least c^z / 2.
+    Two pointers track those powers as z grows, so each z costs at most
+    two exact checks, c^z - a^x against b and c^z - b^y against a.
+    """
+    found = set()
+    x, A = 0, 1
+    y, B = 0, 1
+    C = 1
+    for z in range(1, cap + 1):
+        C *= c
+        while x < cap and A * a < C:
+            x, A = x + 1, A * a
+        while y < cap and B * b < C:
+            y, B = y + 1, B * b
+        if x and 2 * A >= C and C - A >= b:
+            e = perfect_power_exponent(C - A, b)
+            if e is not None and e <= cap:
+                found.add((x, e, z))
+        if y and 2 * B >= C and C - B >= a:
+            e = perfect_power_exponent(C - B, a)
+            if e is not None and e <= cap:
+                found.add((e, y, z))
+    return sorted(found)
 
 
 def find_solutions(p: PrimPair, cap: int) -> list[SolutionRecord]:
-    """All solutions with 1 <= x, y, z <= cap, by pruned exact search.
+    """All solutions with 1 <= x, y, z <= cap, by dominant-term search.
 
-    Filters are necessary conditions only: parity constraints that hold
-    for every solution of the pair, and membership of c^z - a^x in the
-    value set of b^y modulo a few small moduli.  Survivors are confirmed
-    with exact big-integer arithmetic.
+    At most two exact perfect-power checks per z (see
+    ``_dominant_term_solutions``); every record re-checks its identity.
     """
     if cap < 2:
         raise ValueError("cap must be >= 2")
     t = triple_of(p)
-    a, b, c = t.a, t.b, t.c
-
-    constraints = quadratic_sieve(p)
-    x_even = any(k.kind == "x-even" for k in constraints)
-    z_even = any(k.kind == "z-even" for k in constraints)
-
-    b_sets = {}
-    for M in _FILTER_MODULI:
-        b_sets[M] = {pow(b, y, M) for y in range(1, cap + 1)}
-
-    a_pows = {M: [pow(a, x, M) for x in range(cap + 1)] for M in _FILTER_MODULI}
-    c_pows = {M: [pow(c, z, M) for z in range(cap + 1)] for M in _FILTER_MODULI}
-
-    big_a = [None] + [a**x for x in range(1, cap + 1)]
-    big_c = [None] + [c**z for z in range(1, cap + 1)]
-
-    out = []
-    for z in range(1, cap + 1):
-        if z_even and z % 2 == 1:
-            continue
-        for x in range(1, cap + 1):
-            if x_even and x % 2 == 1:
-                continue
-            if any(
-                (c_pows[M][z] - a_pows[M][x]) % M not in b_sets[M]
-                for M in _FILTER_MODULI
-            ):
-                continue
-            R = big_c[z] - big_a[x]
-            if R < b:
-                continue
-            y = perfect_power_exponent(R, b)
-            if y is not None and y <= cap:
-                out.append(_record(p, x, y, z))
-    out.sort(key=lambda r: (r.sol.x, r.sol.y, r.sol.z))
-    return out
+    sols = _dominant_term_solutions(t.a, t.b, t.c, cap)
+    return [_record(p, x, y, z) for x, y, z in sols]
 
 
 def find_solutions_unpruned(p: PrimPair, cap: int) -> list[SolutionRecord]:
@@ -153,12 +144,21 @@ def _scan_one(args) -> tuple[tuple[int, int], list[tuple[int, int, int]]]:
     return (m, n), [(r.sol.x, r.sol.y, r.sol.z) for r in recs]
 
 
+# Starting and feeding a worker process costs some 10-20 ms; one (pair, z)
+# step of the dominant-term walk costs about 1.5 us.  A worker is started
+# only for at least this many steps, so a small sweep runs in-process.
+_STEPS_PER_WORKER = 25_000
+
+
 def scan_range(m_max: int, cap: int, jobs: int = 1) -> dict:
     """Run find_solutions over every primitive pair with m <= m_max.
 
-    Results are merged in (m, n) order, so the report does not depend on
-    the worker count.
+    Uses up to ``jobs`` worker processes, at most one per
+    ``_STEPS_PER_WORKER`` (pair, z) steps.  Results are merged in (m, n)
+    order, so the report does not depend on the worker count.
     """
+    if cap < 2:
+        raise ValueError("cap must be >= 2")
     if m_max < 2:
         return {
             "m_max": m_max,
@@ -169,13 +169,14 @@ def scan_range(m_max: int, cap: int, jobs: int = 1) -> dict:
             "exceptional": [],
             "warning": "no primitive pairs with m <= 1",
         }
-    if cap < 2:
-        raise ValueError("cap must be >= 2")
     pairs = [(q.m, q.n) for q in iter_pairs(m_max)]
     work = [((m, n), cap) for (m, n) in pairs]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_scan_one, work, chunksize=8))
+    workers = min(jobs, len(work) * cap // _STEPS_PER_WORKER)
+    if workers > 1:
+        # about eight chunks per worker: few round trips, still balanced
+        chunk = -(-len(work) // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_scan_one, work, chunksize=chunk))
     else:
         results = [_scan_one(w) for w in work]
     results.sort(key=lambda item: item[0])

@@ -96,6 +96,12 @@ def test_scan_degenerate_limit_warns(capsys):
     assert "warning" in rep["results"]
 
 
+def test_scan_invalid_cap_rejected_even_without_pairs(capsys):
+    for m_max in ("1", "5"):
+        code, _, err = run(capsys, "scan", "--m-max", m_max, "--cap", "1")
+        assert code == 2 and "cap must be >= 2" in err
+
+
 def test_scan_json_invariant_under_worker_count(capsys):
     _, out1, _ = run(capsys, "scan", "--m-max", "12", "--cap", "10",
                      "--jobs", "1", "--format", "json")

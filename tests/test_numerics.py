@@ -80,6 +80,14 @@ def test_perfect_power_round_trip(base, k):
     assert perfect_power_exponent(base**k, base) == k
 
 
+@given(st.integers(min_value=2, max_value=10**4), st.integers(min_value=1, max_value=400))
+def test_perfect_power_exact_at_and_next_to_powers(base, k):
+    N = base**k
+    assert perfect_power_exponent(N, base) == k
+    assert perfect_power_exponent(N + 1, base) is None
+    assert perfect_power_exponent(N - 1, base) is None
+
+
 @given(st.integers(min_value=0, max_value=10**30), st.integers(min_value=2, max_value=9))
 def test_integer_nth_root_bracket(N, n):
     root, exact = integer_nth_root(N, n)

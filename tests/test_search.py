@@ -6,12 +6,14 @@ import random
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tripow import search
 from tripow.numerics import GaussianInt, ONE, g_pow
 from tripow.search import (
     ExponentTriple,
+    _dominant_term_solutions,
     KLStructureError,
     SolutionRecord,
     find_solutions,
@@ -66,6 +68,57 @@ def test_both_routes_match_brute_oracle():
         assert as_tuples(find_solutions_unpruned(p, 12)) == want
 
 
+@given(st.integers(min_value=2, max_value=10**4).flatmap(
+           lambda m: st.tuples(st.just(m), st.integers(min_value=1, max_value=m - 1))),
+       st.integers(min_value=2, max_value=40))
+@settings(max_examples=80, deadline=None)
+def test_fast_route_matches_reference_on_random_pairs(mn, cap):
+    m, n = mn
+    assume((m - n) % 2 == 1 and math.gcd(m, n) == 1)
+    p = new_pair(m, n)
+    assert as_tuples(find_solutions(p, cap)) == as_tuples(find_solutions_unpruned(p, cap))
+
+
+def test_dominant_term_core_matches_brute_on_general_bases():
+    # pair-only checks see nothing but (2, 2, 2); general bases have
+    # instances with several solutions, and with none
+    cap = 12
+    where = {}  # c^z -> [(c, z)]
+    for c in range(2, 61):
+        for z in range(1, cap + 1):
+            where.setdefault(c**z, []).append((c, z))
+    with_solutions = 0
+    for a in range(2, 41):
+        for b in range(2, 41):
+            want = {}
+            for x, y in product(range(1, cap + 1), repeat=2):
+                for c, z in where.get(a**x + b**y, ()):
+                    want.setdefault(c, []).append((x, y, z))
+            for c in range(2, 61):
+                expect = sorted(want.get(c, []))
+                assert _dominant_term_solutions(a, b, c, cap) == expect, (a, b, c)
+                with_solutions += bool(expect)
+    assert with_solutions > 2000
+    assert _dominant_term_solutions(3, 5, 2, cap) == [(1, 1, 3), (1, 3, 7), (3, 1, 5)]
+    assert _dominant_term_solutions(2, 3, 5, cap) == [(1, 1, 1), (4, 2, 2)]
+
+
+def test_at_most_two_exact_checks_per_z(monkeypatch):
+    calls = []
+    exact = search.perfect_power_exponent
+
+    def counted(N, base):
+        calls.append(N)
+        return exact(N, base)
+
+    monkeypatch.setattr(search, "perfect_power_exponent", counted)
+    for cap in (12, 40):
+        for p in iter_pairs(40):
+            calls.clear()
+            find_solutions(p, cap)
+            assert 0 < len(calls) <= 2 * cap, (p.m, p.n, cap, len(calls))
+
+
 def test_cap_validation():
     p = new_pair(2, 1)
     with pytest.raises(ValueError):
@@ -74,6 +127,8 @@ def test_cap_validation():
         find_solutions_unpruned(p, 0)
     with pytest.raises(ValueError):
         scan_range(5, 1)
+    with pytest.raises(ValueError):
+        scan_range(1, 1)
 
 
 def test_exponent_triple_and_record_validation():
@@ -98,6 +153,28 @@ def test_scan_range_small():
 
 def test_scan_range_worker_count_invisible():
     assert scan_range(15, 10, jobs=1) == scan_range(15, 10, jobs=2)
+
+
+def test_small_sweep_starts_no_workers(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool started for a small sweep")
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    assert scan_range(15, 10, jobs=2) == scan_range(15, 10, jobs=1)
+
+
+def test_scan_range_workers_match_in_process(monkeypatch):
+    started = []
+    real_pool = search.ProcessPoolExecutor
+
+    def counting_pool(max_workers):
+        started.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(search, "_STEPS_PER_WORKER", 1)
+    monkeypatch.setattr(search, "ProcessPoolExecutor", counting_pool)
+    assert scan_range(15, 10, jobs=2) == scan_range(15, 10, jobs=1)
+    assert started == [2]
 
 
 def test_scan_range_degenerate_limit():
