@@ -23,10 +23,9 @@ from fractions import Fraction
 import math
 
 import mpmath
-from mpmath import iv as _iv
-from mpmath.libmp import to_rational as _to_rational
+from mpmath.libmp import round_floor, to_int, to_rational as _to_rational
 
-from .numerics import DEFAULT_PRECISION, RInterval, _Prec
+from .numerics import DEFAULT_PRECISION, RInterval, ln_weighted_sum
 from .triples import PrimPair, triple_of, two_adic_profile
 
 __all__ = [
@@ -90,8 +89,8 @@ def _exact(x: mpmath.mpf) -> Fraction:
 
 
 def _certified_floor(x: RInterval) -> int:
-    lo = int(mpmath.floor(x.lo))
-    hi = int(mpmath.floor(x.hi))
+    lo = to_int(x.lo._mpf_, round_floor)
+    hi = to_int(x.hi._mpf_, round_floor)
     if lo != hi:
         raise ValueError("floor undetermined at this precision; raise precision")
     return lo
@@ -175,19 +174,23 @@ def _eps_tail(N: int, precision: int) -> RInterval:
     return (RInterval(1, precision=precision) + q**N).ln()
 
 
+def _stirling_epsilon(N: int, precision: int, slack: RInterval) -> RInterval:
+    """(2/N)((3/2) ln N + (1/2) ln 2pi + tail + slack)."""
+    lnN = RInterval(N, precision=precision).ln()
+    ln2pi = (RInterval(2, precision=precision) * RInterval.pi(precision)).ln()
+    base = (
+        RInterval(Fraction(3, 2), precision=precision) * lnN
+        + ln2pi / 2
+        + _eps_tail(N, precision)
+    )
+    return RInterval(2, precision=precision) / N * (base + slack)
+
+
 def laurent_epsilon_majorant(N: int, precision: int = DEFAULT_PRECISION) -> RInterval:
     """The decreasing majorant (2/N)((3/2)lnN + (1/2)ln 2pi + 1/(12N) + tail)."""
     if N < 2:
         raise ValueError("requires N >= 2")
-    lnN = RInterval(N, precision=precision).ln()
-    ln2pi = (RInterval(2, precision=precision) * RInterval.pi(precision)).ln()
-    body = (
-        RInterval(Fraction(3, 2), precision=precision) * lnN
-        + ln2pi / 2
-        + RInterval(Fraction(1, 12 * N), precision=precision)
-        + _eps_tail(N, precision)
-    )
-    return RInterval(2, precision=precision) / N * body
+    return _stirling_epsilon(N, precision, RInterval(Fraction(1, 12 * N), precision=precision))
 
 
 def laurent_epsilon(N: int, precision: int = DEFAULT_PRECISION) -> RInterval:
@@ -203,15 +206,8 @@ def laurent_epsilon(N: int, precision: int = DEFAULT_PRECISION) -> RInterval:
         lnN = RInterval(N, precision=precision).ln()
         body = lnfac + (1 - N) * lnN + RInterval(N, precision=precision) + _eps_tail(N, precision)
         return RInterval(2, precision=precision) / N * body
-    lnN = RInterval(N, precision=precision).ln()
-    ln2pi = (RInterval(2, precision=precision) * RInterval.pi(precision)).ln()
-    base = (
-        RInterval(Fraction(3, 2), precision=precision) * lnN
-        + ln2pi / 2
-        + _eps_tail(N, precision)
-    )
     stirling_slack = RInterval(0, Fraction(1, 12 * N), precision=precision)
-    return RInterval(2, precision=precision) / N * (base + stirling_slack)
+    return _stirling_epsilon(N, precision, stirling_slack)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +237,8 @@ class LaurentInstance:
     a1: RInterval
     a2: RInterval
     D: int = 1
+    # ln_b's K-term sum by precision: computed once, it is most of the work
+    _factorial_log_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.K < 2 or self.L < 2:
@@ -275,18 +273,15 @@ class LaurentInstance:
         if lead <= 0:
             raise ValueError("b must be positive")
         ln_lead = RInterval(lead, precision=prec).ln()
-        return ln_lead - _weighted_factorial_log_sum(self.K, prec) * Fraction(
-            2, self.K * self.K - self.K
-        )
+        sums = self._factorial_log_sums
+        if prec not in sums:
+            sums[prec] = _weighted_factorial_log_sum(self.K, prec)
+        return ln_lead - sums[prec] * Fraction(2, self.K * self.K - self.K)
 
 
 def _weighted_factorial_log_sum(K: int, precision: int) -> RInterval:
     """sum_{k=1}^{K-1} ln(k!) = sum_{j=2}^{K-1} (K-j) ln j, as one interval."""
-    with _Prec(precision):
-        total = _iv.mpf(0)
-        for j in range(2, K):
-            total += (K - j) * _iv.log(_iv.mpf(j))
-    return RInterval._wrap(total, precision)
+    return ln_weighted_sum(((K - j, j) for j in range(2, K)), precision)
 
 
 def laurent_check(inst: LaurentInstance, precision: int | None = None):
@@ -381,13 +376,17 @@ def lemma_parameter_rechecks(inst: LaurentInstance, bprime) -> dict[str, bool]:
     return {"gL_term_below_closed_form": gl_ok, "ln_b_below_closed_form": lnb_ok}
 
 
+def _unfloored_L(bprime: RInterval, precision: int) -> int:
+    """floor((45/62)(ln bprime + 5.49)) + 1, before the floor at 3."""
+    return 1 + _certified_floor(
+        RInterval(L_SLOPE, precision=precision)
+        * (bprime.ln() + RInterval(Fraction(549, 100), precision=precision))
+    )
+
+
 def corollary_L(bprime: RInterval) -> int:
     """L = floor((45/62)(ln bprime + 5.49)) + 1, floored at 3."""
-    raw = _certified_floor(
-        RInterval(L_SLOPE, precision=bprime.precision)
-        * (bprime.ln() + RInterval(Fraction(549, 100), precision=bprime.precision))
-    )
-    return max(3, raw + 1)
+    return max(3, _unfloored_L(bprime, bprime.precision))
 
 
 @dataclass(frozen=True)
@@ -414,11 +413,8 @@ def two_log_lower_bound(
         raise HypothesisError("a2 >= 1000 + a1")
     if not (_exact(bp_iv.lo) > Fraction(56, 1000)):
         raise HypothesisError("bprime > 0.056")
-    raw = _certified_floor(
-        RInterval(L_SLOPE, precision=precision)
-        * (bp_iv.ln() + RInterval(Fraction(549, 100), precision=precision))
-    )
-    L = max(3, raw + 1)
+    raw = _unfloored_L(bp_iv, precision)
+    L = max(3, raw)
     lnbp = bp_iv.ln()
     c1 = RInterval(Fraction(3741, 1000), precision=precision)
     c2 = RInterval(Fraction(687, 100), precision=precision)
@@ -430,7 +426,7 @@ def two_log_lower_bound(
         - RInterval(L, precision=precision).ln()
         - (RInterval(2, precision=precision) + c3 * L * a2_iv).ln()
     )
-    return TwoLogBound(bound, L, L_floored=raw + 1 < 3)
+    return TwoLogBound(bound, L, L_floored=raw < 3)
 
 
 # ---------------------------------------------------------------------------

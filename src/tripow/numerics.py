@@ -16,8 +16,34 @@ from fractions import Fraction
 import math
 
 import mpmath
-from mpmath import iv as _iv, make_mpf as _make_mpf
-from mpmath.libmp import to_rational as _to_rational
+from mpmath import make_mpf as _make_mpf
+from mpmath.libmp import (
+    fnan,
+    finf,
+    fninf,
+    fone,
+    from_float,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_gt,
+    mpf_pi,
+    mpf_shift,
+    mpi_add,
+    mpi_delta,
+    mpi_div,
+    mpi_exp,
+    mpi_from_str,
+    mpi_log,
+    mpi_mul,
+    mpi_neg,
+    mpi_pow,
+    mpi_sqrt,
+    mpi_sub,
+    round_ceiling,
+    round_floor,
+    to_rational as _to_rational,
+)
 
 __all__ = [
     "val_p",
@@ -28,6 +54,7 @@ __all__ = [
     "g_divmod",
     "g_gcd",
     "RInterval",
+    "ln_weighted_sum",
     "DEFAULT_PRECISION",
 ]
 
@@ -216,24 +243,36 @@ def g_divexact(x: GaussianInt, d: GaussianInt) -> GaussianInt:
 # ---------------------------------------------------------------------------
 # Certified real intervals.
 #
-# A thin wrapper over mpmath's interval context.  The context's precision is
-# process-global, so every operation pins it for its own duration; results
-# carry the precision they were computed at.  Endpoints come back out as
-# exact mpf values (arbitrary precision, exact comparisons).
+# An interval is a pair of raw mpf endpoints, (lo, hi), handed to mpmath's
+# pure interval functions (libmp's mpi_*), which round lo down and hi up at
+# the precision passed to them.  Each RInterval carries that precision, so
+# no result depends on mpmath's process-global settings or on other threads.
+# These are the functions mpmath.iv itself calls with its global precision,
+# so the endpoints are the same bits it would give at that precision.
 
 
-class _Prec:
-    """Pin the mpmath interval context precision, restore on exit."""
+def _int_mpi(n: int, prec: int) -> tuple:
+    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
 
-    def __init__(self, bits: int):
-        self.bits = bits
 
-    def __enter__(self):
-        self._saved = _iv.prec
-        _iv.prec = self.bits
-
-    def __exit__(self, *exc):
-        _iv.prec = self._saved
+def _to_mpi(x, prec: int) -> tuple:
+    """Endpoint pair enclosing x at prec bits."""
+    if isinstance(x, RInterval):
+        return x._v
+    if isinstance(x, Fraction):
+        return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
+    if isinstance(x, int):
+        return _int_mpi(x, prec)
+    if isinstance(x, str):
+        return mpi_from_str(x, prec)
+    if isinstance(x, float):
+        v = from_float(x, prec, round_floor), from_float(x, prec, round_ceiling)
+    elif isinstance(x, mpmath.mpf):
+        v = x._mpf_, x._mpf_
+    else:
+        raise TypeError(f"cannot build interval from {type(x).__name__}")
+    # a nan point encloses nothing; widen it to the whole line, as mpmath.iv does
+    return (fninf, finf) if fnan in v else v
 
 
 class RInterval:
@@ -249,32 +288,16 @@ class RInterval:
     def __init__(self, lo, hi=None, precision: int = DEFAULT_PRECISION):
         if precision < 8:
             raise ValueError("precision too small")
-        with _Prec(precision):
-            if hi is None:
-                self._v = self._convert_one(lo)
-            else:
-                a = self._convert_one(lo)
-                b = self._convert_one(hi)
-                end_lo, end_hi = _make_mpf(a._mpi_[0]), _make_mpf(b._mpi_[1])
-                if end_lo > end_hi:
-                    raise ValueError("interval endpoints out of order")
-                self._v = _iv.mpf([end_lo, end_hi])
+        v = _to_mpi(lo, precision)
+        if hi is not None:
+            v = (v[0], _to_mpi(hi, precision)[1])
+            if mpf_gt(*v):
+                raise ValueError("interval endpoints out of order")
+        self._v = v
         self.precision = precision
 
-    @staticmethod
-    def _convert_one(x):
-        if isinstance(x, RInterval):
-            return x._v
-        if isinstance(x, Fraction):
-            return _iv.mpf(x.numerator) / _iv.mpf(x.denominator)
-        if isinstance(x, (int, str, float)):
-            return _iv.mpf(x)
-        if isinstance(x, mpmath.mpf):
-            return _iv.mpf(x)
-        raise TypeError(f"cannot build interval from {type(x).__name__}")
-
     @classmethod
-    def _wrap(cls, v, precision: int) -> "RInterval":
+    def _wrap(cls, v: tuple, precision: int) -> "RInterval":
         out = object.__new__(cls)
         out._v = v
         out.precision = precision
@@ -284,19 +307,20 @@ class RInterval:
 
     @property
     def lo(self) -> mpmath.mpf:
-        return _make_mpf(self._v._mpi_[0])
+        return _make_mpf(self._v[0])
 
     @property
     def hi(self) -> mpmath.mpf:
-        return _make_mpf(self._v._mpi_[1])
+        return _make_mpf(self._v[1])
 
     @property
     def width(self) -> mpmath.mpf:
-        return _make_mpf(self._v.delta._mpi_[1])
+        return _make_mpf(mpi_delta(self._v, self.precision))
 
     @property
     def mid(self) -> mpmath.mpf:
-        return (self.lo + self.hi) / 2
+        """The exact midpoint (lo + hi) / 2."""
+        return _make_mpf(mpf_shift(mpf_add(*self._v), -1))
 
     def __repr__(self) -> str:
         return f"RInterval[{mpmath.nstr(self.lo, 20)}, {mpmath.nstr(self.hi, 20)}]"
@@ -331,64 +355,60 @@ class RInterval:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _binop(self, other, op) -> "RInterval":
+    def _binop(self, other, op, reflected=False) -> "RInterval":
         if not isinstance(other, RInterval):
             other = RInterval(other, precision=self.precision)
         prec = max(self.precision, other.precision)
-        with _Prec(prec):
-            return RInterval._wrap(op(self._v, other._v), prec)
+        a, b = (other._v, self._v) if reflected else (self._v, other._v)
+        return RInterval._wrap(op(a, b, prec), prec)
 
     def __add__(self, other):
-        return self._binop(other, lambda a, b: a + b)
+        return self._binop(other, mpi_add)
 
     def __radd__(self, other):
-        return self._binop(other, lambda a, b: b + a)
+        return self._binop(other, mpi_add, reflected=True)
 
     def __sub__(self, other):
-        return self._binop(other, lambda a, b: a - b)
+        return self._binop(other, mpi_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, lambda a, b: b - a)
+        return self._binop(other, mpi_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, lambda a, b: a * b)
+        return self._binop(other, mpi_mul)
 
     def __rmul__(self, other):
-        return self._binop(other, lambda a, b: b * a)
+        return self._binop(other, mpi_mul, reflected=True)
 
     def __truediv__(self, other):
-        return self._binop(other, lambda a, b: a / b)
+        return self._binop(other, mpi_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, lambda a, b: b / a)
+        return self._binop(other, mpi_div, reflected=True)
 
     def __neg__(self):
-        with _Prec(self.precision):
-            return RInterval._wrap(-self._v, self.precision)
+        return RInterval._wrap(mpi_neg(self._v, self.precision), self.precision)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise TypeError("integer exponents only; use pow_frac for t^q")
-        with _Prec(self.precision):
-            return RInterval._wrap(self._v**e, self.precision)
+        prec = self.precision
+        return RInterval._wrap(mpi_pow(self._v, _int_mpi(e, prec), prec), prec)
 
     # -- transcendental ----------------------------------------------------
 
     def ln(self) -> "RInterval":
         if not self.lo > 0:
             raise ValueError("ln requires a strictly positive interval")
-        with _Prec(self.precision):
-            return RInterval._wrap(_iv.log(self._v), self.precision)
+        return RInterval._wrap(mpi_log(self._v, self.precision), self.precision)
 
     def exp(self) -> "RInterval":
-        with _Prec(self.precision):
-            return RInterval._wrap(_iv.exp(self._v), self.precision)
+        return RInterval._wrap(mpi_exp(self._v, self.precision), self.precision)
 
     def sqrt(self) -> "RInterval":
         if self.lo < 0:
             raise ValueError("sqrt requires a nonnegative interval")
-        with _Prec(self.precision):
-            return RInterval._wrap(_iv.sqrt(self._v), self.precision)
+        return RInterval._wrap(mpi_sqrt(self._v, self.precision), self.precision)
 
     def pow_frac(self, q) -> "RInterval":
         """t^q for positive t and rational/interval q, via exp(q ln t)."""
@@ -397,15 +417,26 @@ class RInterval:
         if not isinstance(q, RInterval):
             q = RInterval(q, precision=self.precision)
         prec = max(self.precision, q.precision)
-        with _Prec(prec):
-            return RInterval._wrap(_iv.exp(q._v * _iv.log(self._v)), prec)
+        return RInterval._wrap(mpi_exp(mpi_mul(q._v, mpi_log(self._v, prec), prec), prec), prec)
 
     @staticmethod
     def pi(precision: int = DEFAULT_PRECISION) -> "RInterval":
-        with _Prec(precision):
-            return RInterval._wrap(+_iv.pi, precision)
+        v = mpf_pi(precision, round_floor), mpf_pi(precision, round_ceiling)
+        return RInterval._wrap(v, precision)
 
     @staticmethod
     def e_const(precision: int = DEFAULT_PRECISION) -> "RInterval":
-        with _Prec(precision):
-            return RInterval._wrap(_iv.exp(_iv.mpf(1)), precision)
+        return RInterval._wrap(mpi_exp((fone, fone), precision), precision)
+
+
+def ln_weighted_sum(terms, precision: int) -> RInterval:
+    """Enclosure of sum(w * ln j) over integer pairs (w, j), j >= 1.
+
+    Each term is w times ln j at the given precision, added in order;
+    the empty sum is exactly 0.
+    """
+    total = (fzero, fzero)
+    for w, j in terms:
+        term = mpi_mul(_int_mpi(w, precision), mpi_log(_int_mpi(j, precision), precision), precision)
+        total = mpi_add(total, term, precision)
+    return RInterval._wrap(total, precision)

@@ -2,6 +2,7 @@
 
 import json
 
+import mpmath
 import pytest
 
 from tripow.cli import main
@@ -200,6 +201,20 @@ def test_laurent_requires_inputs(capsys):
 def test_laurent_hypothesis_failure_is_exit_one(capsys):
     code, _, err = run(capsys, "laurent", "--a2", "1000", "--bprime", "10")
     assert code == 1 and "check failed" in err and "hypothesis fails" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("threshold", "--theorem", "1.2", "--at", "7e60000"),
+        ("laurent", "--a2", "1100", "--bprime", "10"),
+    ],
+)
+def test_report_ignores_mpmath_global_precision(capsys, argv):
+    code, rep, _ = run_json(capsys, *argv)
+    with mpmath.workprec(12):
+        code12, rep12, _ = run_json(capsys, *argv)
+    assert (code12, rep12) == (code, rep)
 
 
 # -- configuration -----------------------------------------------------------------

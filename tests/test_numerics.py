@@ -2,6 +2,8 @@
 
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -24,6 +26,7 @@ from tripow.numerics import (
     g_pow,
     g_powmod,
     integer_nth_root,
+    ln_weighted_sum,
     perfect_power_exponent,
     val_p,
 )
@@ -223,3 +226,64 @@ def test_pow_frac_encloses_rational_power():
 def test_interval_endpoint_order_enforced():
     with pytest.raises(ValueError):
         RInterval(2, 1)
+
+
+def _ln_endpoints(precision):
+    return [(v.lo, v.hi) for v in (RInterval(k, precision=precision).ln() for k in range(2, 3000))]
+
+
+def test_interval_precision_is_per_value_across_threads():
+    expected = {p: _ln_endpoints(p) for p in (64, 512)}
+    got = {}
+    saved = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=lambda p=p: got.__setitem__(p, _ln_endpoints(p)))
+            for p in expected
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    finally:
+        sys.setswitchinterval(saved)
+    assert got == expected
+
+
+def test_interval_ignores_mpmath_global_precision():
+    iv = RInterval(1, Fraction(4, 3), precision=256)
+    width, mid = iv.width, iv.mid
+    saved = mpmath.iv.prec
+    try:
+        mpmath.iv.prec = 20
+        with mpmath.workprec(12):
+            assert iv.width == width
+            assert iv.mid == mid
+    finally:
+        mpmath.iv.prec = saved
+
+    def exact(x):
+        return Fraction(*mpmath.libmp.to_rational(x._mpf_))
+
+    assert exact(mid) == (exact(iv.lo) + exact(iv.hi)) / 2
+
+
+def test_ln_weighted_sum_contains_high_precision_value():
+    rng = random.Random(7)
+    for _ in range(30):
+        precision = rng.choice((16, 64, 128))
+        terms = [
+            (rng.randint(-(10**6), 10**6), rng.randint(1, 10**9))
+            for _ in range(rng.randint(1, 40))
+        ]
+        with mpmath.workprec(400):
+            ref = mpmath.fsum(w * mpmath.log(j) for w, j in terms)
+        iv = ln_weighted_sum(terms, precision)
+        assert iv.precision == precision
+        assert iv.lo <= ref <= iv.hi
+
+
+def test_ln_weighted_sum_empty_is_exact_zero():
+    iv = ln_weighted_sum([], 128)
+    assert iv.lo == 0 and iv.hi == 0 and iv.width == 0
