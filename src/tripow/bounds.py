@@ -46,6 +46,7 @@ __all__ = [
     "exponent_gap_bounds",
     "threshold_rhs",
     "ThresholdCert",
+    "THEOREM_FORMS",
     "certify_threshold",
     "crossover",
     "rho_log",
@@ -59,6 +60,21 @@ RHO_LOG = Fraction(31, 10)  # rho = e^3.1
 MU = Fraction(2, 3)
 KAPPA = Fraction(4927, 100000)
 L_SLOPE = Fraction(45, 62)
+
+# exponent q of t^q in the final inequality, by the theorem it proves
+THEOREM_FORMS = {"1.2": Fraction(3, 5), "1.3": Fraction(2, 3)}
+
+# coefficients of the final inequality's right-hand side (threshold_rhs),
+#   7.482 (F + 2.139)^2 (1 + 70/ln(2m)) + (31/15) L'/t
+#     + (ln(6.29 L') + 0.7 L'^2 (t + 70)) / t,  L' = (45/62) ln ln(2m) + 1.56;
+# the RHS, its derivative and the analytic tail all read them from here
+RHS_LEAD = Fraction(7482, 1000)
+RHS_G_SHIFT = Fraction(2139, 1000)
+RHS_SHIFT = 70
+RHS_L_COEFF = Fraction(31, 15)
+RHS_LOG_COEFF = Fraction(629, 100)
+RHS_SQ_COEFF = Fraction(7, 10)
+RHS_L_SHIFT = Fraction(156, 100)
 
 
 class HypothesisError(ValueError):
@@ -480,9 +496,9 @@ def _rhs_pieces(t: RInterval, with_correction: bool, precision: int):
     s = t + RInterval(2, precision=precision).ln()  # ln(2m) with t = ln m
     ln_s = s.ln()
     F = ln_s if with_correction else s
-    G = F + RInterval(Fraction(2139, 1000), precision=precision)
+    G = F + RInterval(RHS_G_SHIFT, precision=precision)
     Lp = RInterval(L_SLOPE, precision=precision) * ln_s + RInterval(
-        Fraction(156, 100), precision=precision
+        RHS_L_SHIFT, precision=precision
     )
     return s, ln_s, G, Lp
 
@@ -503,13 +519,13 @@ def threshold_rhs(
         raise ValueError("requires t = ln m > 1000")
     prec = max(precision, t_iv.precision)
     s, _, G, Lp = _rhs_pieces(t_iv, with_correction, prec)
-    c_a = RInterval(Fraction(7482, 1000), precision=prec)
-    c70 = RInterval(70, precision=prec)
+    c_a = RInterval(RHS_LEAD, precision=prec)
+    c70 = RInterval(RHS_SHIFT, precision=prec)
     term1 = c_a * G * G * (1 + c70 / s)
-    term2 = RInterval(Fraction(31, 15), precision=prec) * Lp / t_iv
+    term2 = RInterval(RHS_L_COEFF, precision=prec) * Lp / t_iv
     term3 = (
-        (RInterval(Fraction(629, 100), precision=prec) * Lp).ln()
-        + RInterval(Fraction(7, 10), precision=prec) * Lp * Lp * (t_iv + c70)
+        (RInterval(RHS_LOG_COEFF, precision=prec) * Lp).ln()
+        + RInterval(RHS_SQ_COEFF, precision=prec) * Lp * Lp * (t_iv + c70)
     ) / t_iv
     return term1 + term2 + term3
 
@@ -518,15 +534,15 @@ def _rhs_derivative(t: RInterval, precision: int) -> RInterval:
     """Enclosure of d/dt of the corrected right-hand side on the interval t."""
     prec = precision
     s, _, G, Lp = _rhs_pieces(t, True, prec)
-    c_a = RInterval(Fraction(7482, 1000), precision=prec)
-    c70 = RInterval(70, precision=prec)
-    c629 = RInterval(Fraction(629, 100), precision=prec)
+    c_a = RInterval(RHS_LEAD, precision=prec)
+    c70 = RInterval(RHS_SHIFT, precision=prec)
+    c629 = RInterval(RHS_LOG_COEFF, precision=prec)
     Lp_t = RInterval(L_SLOPE, precision=prec) / s
     one = RInterval(1, precision=prec)
     d1 = c_a * (2 * G * (one + c70 / s) / s - c70 * G * G / (s * s))
-    d2 = RInterval(Fraction(31, 15), precision=prec) * (Lp_t / t - Lp / (t * t))
+    d2 = RInterval(RHS_L_COEFF, precision=prec) * (Lp_t / t - Lp / (t * t))
     d3 = (Lp_t / Lp) / t - (c629 * Lp).ln() / (t * t)
-    d4 = RInterval(Fraction(7, 10), precision=prec) * (
+    d4 = RInterval(RHS_SQ_COEFF, precision=prec) * (
         2 * Lp * Lp_t * (one + c70 / t) - c70 * Lp * Lp / (t * t)
     )
     return d1 + d2 + d3 + d4
@@ -543,9 +559,6 @@ class ThresholdCert:
     failing_point: float | None = None
     segments: int = 0
     precision: int = THRESHOLD_PRECISION
-
-
-_FORMS = (Fraction(3, 5), Fraction(2, 3))
 
 
 def _tail_certified(form: Fraction, w_t: Fraction, precision: int) -> bool:
@@ -565,13 +578,13 @@ def _tail_certified(form: Fraction, w_t: Fraction, precision: int) -> bool:
         return False
     w = RInterval(w_t, precision=prec)
     ln2 = RInterval(2, precision=prec).ln()
-    c_a = RInterval(Fraction(7482, 1000), precision=prec)
-    c_b = RInterval(Fraction(7, 10), precision=prec)
+    c_a = RInterval(RHS_LEAD, precision=prec)
+    c_b = RInterval(RHS_SQ_COEFF, precision=prec)
     c_sq = RInterval(Fraction(83, 10), precision=prec)
     c_shift = RInterval(Fraction(22, 10), precision=prec)
     slope = RInterval(L_SLOPE, precision=prec)
-    lp_const = RInterval(Fraction(156, 100), precision=prec)
-    g_shift = RInterval(Fraction(2139, 1000), precision=prec)
+    lp_const = RInterval(RHS_L_SHIFT, precision=prec)
+    g_shift = RInterval(RHS_G_SHIFT, precision=prec)
 
     # coefficient comparisons: 7.482 (w+2.139)^2 + 0.7 L'(w)^2 <= 8.3 (w+2.2)^2
     cw2 = c_a + c_b * slope * slope
@@ -589,10 +602,10 @@ def _tail_certified(form: Fraction, w_t: Fraction, precision: int) -> bool:
     if not inv_t.strictly_positive():
         return False
     Lp = slope * w + lp_const
-    k1 = c_a * 70 * (w + g_shift) ** 2 * expw
-    k2 = RInterval(Fraction(31, 15), precision=prec) * Lp * inv_t * expw
-    k3 = (RInterval(Fraction(629, 100), precision=prec) * Lp).ln() * inv_t * expw
-    k4 = c_b * 70 * inv_t * Lp * Lp * expw
+    k1 = c_a * RHS_SHIFT * (w + g_shift) ** 2 * expw
+    k2 = RInterval(RHS_L_COEFF, precision=prec) * Lp * inv_t * expw
+    k3 = (RInterval(RHS_LOG_COEFF, precision=prec) * Lp).ln() * inv_t * expw
+    k4 = c_b * RHS_SHIFT * inv_t * Lp * Lp * expw
     ktail = k1 + k2 + k3 + k4
     C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
     factor = 1 - 2 * ln2 * expw
@@ -616,7 +629,7 @@ def certify_threshold(
     start, then the analytic tail of _tail_certified.
     """
     form = Fraction(form)
-    if form not in _FORMS:
+    if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
     t0_iv = t0 if isinstance(t0, RInterval) else RInterval(t0, precision=precision)
     cert = ThresholdCert(form=form, t0=t0_iv, precision=precision)
@@ -666,7 +679,7 @@ def certify_threshold(
 def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
     """Bracket the unique t > 1000 where t^form meets the corrected RHS."""
     form = Fraction(form)
-    if form not in _FORMS:
+    if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
 
     def sign_at(t: Fraction) -> int:

@@ -27,6 +27,7 @@ import mpmath
 from . import __version__
 from .bounds import (
     HypothesisError,
+    THEOREM_FORMS,
     THRESHOLD_PRECISION,
     certify_threshold,
     crossover,
@@ -44,7 +45,6 @@ from .triples import exclusion_conditions, new_pair, triple_of, two_adic_profile
 SCHEMA_VERSION = 1
 ENV_PRECISION = "TRIPOW_PRECISION_BITS"
 
-THEOREM_FORMS = {"1.2": Fraction(3, 5), "1.3": Fraction(2, 3)}
 THEOREM_DEFAULT_EXP10 = {"1.2": 109948, "1.3": 22933}
 
 
@@ -406,7 +406,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("threshold", help="certify the final inequality")
-    sp.add_argument("--theorem", choices=("1.2", "1.3"))
+    sp.add_argument("--theorem", choices=tuple(THEOREM_FORMS))
     sp.add_argument("--at", help="certify at this magnitude of m, e.g. 1e109948")
     common(sp)
 

@@ -196,30 +196,35 @@ def quartic_symbol(a, modulus: GaussianInt) -> QuarticValue:
 # Parity constraints
 
 
+# Each constraint kind equates the parities of two symbols among x, y, z
+# and "even" (parity 0).
+_KIND_PARITIES = {
+    "x-even": ("x", "even"),
+    "y-even": ("y", "even"),
+    "z-even": ("z", "even"),
+    "y-eq-z": ("y", "z"),
+    "x-eq-y": ("x", "y"),
+}
+
+
 @dataclass(frozen=True)
 class ParityConstraint:
     """One congruence-derived restriction on exponent parities."""
 
-    kind: str  # "x-even" | "y-even" | "z-even" | "y-eq-z" | "x-eq-y"
+    kind: str  # a key of _KIND_PARITIES
     source: str  # rule id
     note: str = ""
 
-    KINDS = ("x-even", "y-even", "z-even", "y-eq-z", "x-eq-y")
+    KINDS = tuple(_KIND_PARITIES)
 
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _KIND_PARITIES:
             raise ValueError(f"unknown constraint kind {self.kind!r}")
 
     def satisfied_by(self, x: int, y: int, z: int) -> bool:
-        if self.kind == "x-even":
-            return x % 2 == 0
-        if self.kind == "y-even":
-            return y % 2 == 0
-        if self.kind == "z-even":
-            return z % 2 == 0
-        if self.kind == "y-eq-z":
-            return (y - z) % 2 == 0
-        return (x - y) % 2 == 0
+        parity = {"x": x % 2, "y": y % 2, "z": z % 2, "even": 0}
+        u, v = _KIND_PARITIES[self.kind]
+        return parity[u] == parity[v]
 
 
 @dataclass(frozen=True)
@@ -253,71 +258,72 @@ def _forces_all_even(constraints) -> bool:
         parent[find(u)] = find(v)
 
     for c in constraints:
-        if c.kind == "x-even":
-            union("x", "even")
-        elif c.kind == "y-even":
-            union("y", "even")
-        elif c.kind == "z-even":
-            union("z", "even")
-        elif c.kind == "y-eq-z":
-            union("y", "z")
-        elif c.kind == "x-eq-y":
-            union("x", "y")
+        union(*_KIND_PARITIES[c.kind])
     root = find("even")
     return all(find(v) == root for v in ("x", "y", "z"))
+
+
+def _mod4_rule(A: int, C: int) -> ParityConstraint | None:
+    """x-even when A^x = C^z (mod 4) admits only even x, else None."""
+    feas = parity_feasible(A % 4, C % 4, 4)
+    if feas and all(px == "even" for px, _ in feas):
+        return ParityConstraint(
+            "x-even",
+            "mod4-x-even",
+            f"{A % 4}^x = {C % 4}^z (mod 4) admits only even x",
+        )
+    return None
+
+
+# (b/q), (c/q) -> the kind they force and its note; (1, 1) forces nothing
+_JACOBI_PAIR_KINDS = {
+    (-1, 1): ("y-even", "(b/{q}) = -1 and (c/{q}) = 1 force (-1)^y = 1"),
+    (1, -1): ("z-even", "(b/{q}) = 1 and (c/{q}) = -1 force (-1)^z = 1"),
+    (-1, -1): ("y-eq-z", "(b/{q}) = (c/{q}) = -1 force (-1)^y = (-1)^z"),
+}
+
+
+def _jacobi_pair_rule(
+    q_signed: int, b: int, c: int, name: str
+) -> ParityConstraint | None:
+    """Constraint from b^y = c^z (mod |q|) when q | a, by Jacobi characters.
+
+    The rule id is f"{name}-mod8-{q_signed % 8}-{kind}", so the residue
+    in it is that of the signed q.  Callers pass q = e + o as "sum" and
+    q = e - o as "diff", where e is the even member of the pair and o
+    the odd one.  Returns None when |q| < 3 or is even, when a symbol
+    is 0, or when both characters are +1 (no information).
+    """
+    q = abs(q_signed)
+    if q < 3 or q % 2 == 0:
+        return None
+    rule = _JACOBI_PAIR_KINDS.get((jacobi(b % q, q), jacobi(c % q, q)))
+    if rule is None:
+        return None
+    kind, note = rule
+    return ParityConstraint(kind, f"{name}-mod8-{q_signed % 8}-{kind}", note.format(q=q))
 
 
 def quadratic_sieve(p: PrimPair) -> frozenset[ParityConstraint]:
     """Unconditional parity constraints from quadratic residues.
 
-    Works on the pair as stored (m > n).  Every rule is a necessary
-    condition on any solution with x, y, z >= 1; none can exclude
-    (2,2,2).
+    Works on the triple (a, b, c) as stored (m > n): the mod-4 rule on
+    a^x = c^z, and the Jacobi rules modulo e + o and e - o, which both
+    divide a (e is the even member, o the odd one).  Their ids carry the
+    signed residue mod 8, even member minus odd: (m, n) = (7, 4) gives
+    "diff-mod8-5-y-eq-z" because 4 - 7 = 5 (mod 8).  parity_engine calls
+    the same rules with the same b, c and q, so a rule id names one fact
+    in both.  Every rule is a necessary condition on any solution with
+    x, y, z >= 1; none can exclude (2,2,2).
     """
-    m, n = p.m, p.n
-    out = set()
-    if m % 2 == 0:
-        out.add(
-            ParityConstraint(
-                "x-even",
-                "mod4-x-even",
-                "m^2-n^2 = 3 mod 4 and m^2+n^2 = 1 mod 4, so (-1)^x = 1",
-            )
-        )
-    s = (m + n) % 8
-    if s == 3:
-        out.add(
-            ParityConstraint(
-                "z-even",
-                "sum-mod8-3-z-even",
-                "mod m+n: (-2/q) = 1 forced against (2/q) = -1, so z is even",
-            )
-        )
-    elif s == 5:
-        out.add(
-            ParityConstraint(
-                "y-eq-z",
-                "sum-mod8-5-y-eq-z",
-                "mod m+n: both sides carry (2/q) = -1, so y and z share parity",
-            )
-        )
-    elif s == 7:
-        out.add(
-            ParityConstraint(
-                "y-even",
-                "sum-mod8-7-y-even",
-                "mod m+n: (-1/q) = -1 with (2/q) = 1, so y is even",
-            )
-        )
-    if (m - n) % 8 == 5:
-        out.add(
-            ParityConstraint(
-                "y-eq-z",
-                "diff-mod8-5-y-eq-z",
-                "mod m-n: both sides carry (2/q) = -1, so y and z share parity",
-            )
-        )
-    return frozenset(out)
+    e, o = p.even_member, p.odd_member
+    t = triple_of(p)
+    rules = (
+        _mod4_rule(t.a, t.c),
+        _jacobi_pair_rule(e + o, t.b, t.c, "sum"),
+        _jacobi_pair_rule(e - o, t.b, t.c, "diff"),
+    )
+    return frozenset(c for c in rules if c is not None)
 
 
 def parity_feasible(a_res: int, c_res: int, M: int) -> set[tuple[str, str]]:
@@ -417,36 +423,6 @@ def sum_of_powers_prime_residues(n: int, X: int, Z: int, limit: int = 50000):
 # The parity engine
 
 
-def _jacobi_pair_rule(q_signed: int, b: int, c: int, source: str):
-    """Constraint from b^y = c^z (mod |q|) when q | a, by Jacobi characters.
-
-    Returns None when both characters are +1 (no information).
-    """
-    q = abs(q_signed)
-    if q < 3 or q % 2 == 0:
-        return None
-    jb = jacobi(b % q, q)
-    jc = jacobi(c % q, q)
-    if jb == 0 or jc == 0:
-        return None
-    if jb == -1 and jc == 1:
-        return ParityConstraint(
-            "y-even", source, f"(b/{q}) = -1 and (c/{q}) = 1 force (-1)^y = 1"
-        )
-    if jb == 1 and jc == -1:
-        return ParityConstraint(
-            "z-even", source, f"(b/{q}) = 1 and (c/{q}) = -1 force (-1)^z = 1"
-        )
-    if jb == -1 and jc == -1:
-        return ParityConstraint(
-            "y-eq-z", source, f"(b/{q}) = (c/{q}) = -1 force (-1)^y = (-1)^z"
-        )
-    return None
-
-
-_SUM_RULE_IDS = {3: "sum-mod8-3-z-even", 5: "sum-mod8-5-y-eq-z", 7: "sum-mod8-7-y-even"}
-
-
 def parity_engine(p: PrimPair) -> ParityVerdict:
     """Full parity dispatch for a pair whose even generator has 4 | it.
 
@@ -454,7 +430,9 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
     are evaluated for the bases (e^2 - o^2, 2eo, e^2 + o^2) with the sign
     of the first tracked exactly, which coincides with the triple's legs
     whenever e is the larger member.  Every congruence premise is checked
-    live on the pair rather than assumed from the case label.
+    live on the pair rather than assumed from the case label.  The Jacobi
+    rules are the ones quadratic_sieve evaluates, with the same
+    arguments; so is the mod-4 rule whenever e is the larger member.
     """
     e, o = p.even_member, p.odd_member
     alpha = val_p(e, 2)
@@ -468,17 +446,6 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
     assumed = False
     case = None
 
-    def mod4_rule():
-        feas = parity_feasible(A % 4, C % 4, 4)
-        if feas and all(px == "even" for px, _ in feas):
-            constraints.append(
-                ParityConstraint(
-                    "x-even",
-                    "mod4-x-even",
-                    f"{A % 4}^x = {C % 4}^z (mod 4) admits only even x",
-                )
-            )
-
     def mod16_rule(y_ge_2_reason: str):
         feas = parity_feasible(A % 16, C % 16, 16)
         if feas == {("even", "even")}:
@@ -489,22 +456,13 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
             constraints.append(ParityConstraint("x-even", "mod16-x-z-even", note))
             constraints.append(ParityConstraint("z-even", "mod16-x-z-even", note))
 
-    def sum_rule():
-        c = _jacobi_pair_rule(e + o, B, C, _SUM_RULE_IDS.get((e + o) % 8, "sum-mod8"))
+    def add(c: ParityConstraint | None) -> None:
         if c is not None:
             constraints.append(c)
-        return c
-
-    def diff_rule():
-        c = _jacobi_pair_rule(e - o, B, C, "diff-mod8-5-y-eq-z")
-        if c is not None and c.kind == "y-eq-z":
-            constraints.append(c)
-            return c
-        return None
 
     if res8 == 1 and alpha == 2:
         case = "odd=1(8), even=4(8)"
-        mod4_rule()
+        add(_mod4_rule(A, C))
         pi = GaussianInt(o, -e)
         s1 = quartic_symbol(GaussianInt(2 * o * o, 0), pi)
         s2 = quartic_symbol(GaussianInt(0, 2 * e * e), pi)
@@ -516,17 +474,17 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
                     "(2o^2/o-ei)_4 = (2e^2 i/o-ei)_4 = -1 force (-1)^x = (-1)^y",
                 )
             )
-        sum_rule()
+        add(_jacobi_pair_rule(e + o, B, C, "sum"))
     elif res8 == 3:
         if e % 8 == 4:
             case = "odd=3(8), even=4(8)"
-            sum_rule()  # sum = 7 mod 8: y even
+            add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 7 mod 8: y even
             mod16_rule("y even makes y >= 2, so 16 divides b^y")
         else:
             case = "odd=3(8), even=0(8)"
-            mod4_rule()
-            sum_rule()  # sum = 3 mod 8: z even
-            diff_rule()  # diff = 5 mod 8: y = z
+            add(_mod4_rule(A, C))
+            add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 3 mod 8: z even
+            add(_jacobi_pair_rule(e - o, B, C, "diff"))  # diff = 5 mod 8: y = z
     elif res8 == 5:
         case = "odd=5(8)"
         assumed = True
@@ -541,9 +499,9 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
         )
     elif res8 == 7 and alpha == 2:
         case = "odd=7(8), even=4(8)"
-        mod4_rule()
-        sum_rule()  # sum = 3 mod 8: z even
-        diff_rule()  # signed diff = 5 mod 8: y = z
+        add(_mod4_rule(A, C))
+        add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 3 mod 8: z even
+        add(_jacobi_pair_rule(e - o, B, C, "diff"))  # signed diff = 5 mod 8: y = z
     else:
         return ParityVerdict(
             applicable=False,

@@ -55,6 +55,15 @@ def test_verify_full_dossier(capsys):
     assert "y_half_exponent_bound" in res
 
 
+def test_verify_sieve_and_engine_share_rule(capsys):
+    code, rep, _ = run_json(capsys, "verify", "--m", "7", "--n", "4")
+    res = rep["results"]
+    diff = [c for c in res["engine"]["constraints"] if c["rule"] == "diff-mod8-5-y-eq-z"]
+    assert len(diff) == 1
+    sieve = [json.dumps(c, sort_keys=True) for c in res["sieve"]]
+    assert json.dumps(diff[0], sort_keys=True) in sieve
+
+
 def test_verify_rejects_bad_pair(capsys):
     code, _, err = run(capsys, "verify", "--m", "9", "--n", "3")
     assert code == 2 and "error:" in err

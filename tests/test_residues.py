@@ -1,5 +1,6 @@
 """Jacobi and quartic symbols against independent oracles, and the parity engine."""
 
+import itertools
 import math
 import random
 from math import isqrt
@@ -12,6 +13,7 @@ from sympy import factorint, isprime
 from tripow.numerics import GaussianInt, I, ONE, g_pow
 from tripow.residues import (
     ParityConstraint,
+    _forces_all_even,
     QuarticValue,
     is_primary,
     jacobi,
@@ -23,7 +25,7 @@ from tripow.residues import (
     quartic_symbol,
     sum_of_powers_prime_residues,
 )
-from tripow.triples import new_pair
+from tripow.triples import iter_pairs, new_pair, triple_of
 
 
 # -- oracles -----------------------------------------------------------------
@@ -247,8 +249,12 @@ def test_parity_feasible_mod4_forces_x_even(n):
 def test_quadratic_sieve_examples():
     cases = {
         (4, 3): {"mod4-x-even", "sum-mod8-7-y-even"},
-        (4, 1): {"mod4-x-even", "sum-mod8-5-y-eq-z"},
+        # mod 3: 15^x + 8^y = 17^z reads 2^y = 2^z, so y = z (mod 2)
+        (4, 1): {"mod4-x-even", "sum-mod8-5-y-eq-z", "diff-mod8-3-y-eq-z"},
         (8, 3): {"mod4-x-even", "sum-mod8-3-z-even", "diff-mod8-5-y-eq-z"},
+        (5, 2): {"sum-mod8-7-y-even", "diff-mod8-5-y-eq-z"},
+        (7, 4): {"sum-mod8-3-z-even", "diff-mod8-5-y-eq-z"},
+        (13, 4): set(),
     }
     for mn, want in cases.items():
         got = {c.source for c in quadratic_sieve(new_pair(*mn))}
@@ -260,6 +266,57 @@ def test_quadratic_sieve_examples():
 def test_sieve_never_excludes_trivial_solution(mn):
     for c in quadratic_sieve(new_pair(*mn)):
         assert c.satisfied_by(2, 2, 2)
+
+
+def _feasible_yz(b: int, c: int, q: int) -> set[tuple[int, int]]:
+    return {
+        (int(py == "odd"), int(pz == "odd"))
+        for py, pz in parity_feasible(b % q, c % q, q)
+    }
+
+
+def test_sieve_rules_sound_by_cycle_exhaustion():
+    """Each sum/diff rule holds on every (y, z) parity the residue cycles admit."""
+    checked = 0
+    for p in iter_pairs(60):
+        t = triple_of(p)
+        rules = quadratic_sieve(p)
+        moduli = {"sum": p.m + p.n, "diff": p.m - p.n}
+        for c in rules:
+            name = c.source.split("-mod8-")[0]
+            if name not in moduli:
+                continue
+            q = moduli[name]
+            assert q >= 3, (p, c)
+            for y, z in _feasible_yz(t.b, t.c, q):
+                assert c.satisfied_by(0, y, z), (p.m, p.n, c, y, z)
+            checked += 1
+        mod4 = parity_feasible(t.a % 4, t.c % 4, 4)
+        only_even_x = bool(mod4) and all(px == "even" for px, _ in mod4)
+        assert ("mod4-x-even" in {c.source for c in rules}) == only_even_x, (p.m, p.n)
+    assert checked > 900, checked
+
+
+def test_sieve_agrees_with_engine_on_shared_rule_ids():
+    shared = 0
+    for p in iter_pairs(120):
+        if p.even_member % 4:
+            continue
+        engine = {c.source: c for c in parity_engine(p).constraints}
+        for c in quadratic_sieve(p):
+            if c.source in engine:
+                assert c == engine[c.source], (p.m, p.n, c, engine[c.source])
+                shared += 1
+    assert shared > 0
+
+
+def test_forces_all_even_is_the_propositional_closure():
+    vectors = list(itertools.product((0, 1), repeat=3))
+    for r in range(len(ParityConstraint.KINDS) + 1):
+        for kinds in itertools.combinations(ParityConstraint.KINDS, r):
+            cs = [ParityConstraint(k, "t") for k in kinds]
+            models = [v for v in vectors if all(c.satisfied_by(*v) for c in cs)]
+            assert _forces_all_even(cs) == (models == [(0, 0, 0)]), kinds
 
 
 def test_parity_constraint_satisfaction():
