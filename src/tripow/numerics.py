@@ -49,6 +49,11 @@ __all__ = [
     "val_p",
     "perfect_power_exponent",
     "integer_nth_root",
+    "primes_up_to",
+    "PSI_13",
+    "is_prime",
+    "is_prime_power",
+    "factorize",
     "GaussianInt",
     "g_pow",
     "g_divmod",
@@ -115,6 +120,143 @@ def integer_nth_root(N: int, n: int) -> tuple[int, bool]:
         else:
             hi = mid - 1
     return lo, lo**n == N
+
+
+# ---------------------------------------------------------------------------
+# Primes and factoring
+
+
+def primes_up_to(limit: int) -> list[int]:
+    """All primes p <= limit, by the sieve of Eratosthenes."""
+    if limit < 2:
+        return []
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[0] = sieve[1] = 0
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+    return [p for p, flag in enumerate(sieve) if flag]
+
+
+# Trial division stops below 200: a longer table costs more on the small
+# numbers tripow meets than it saves on the rare larger ones.
+_TRIAL_BOUND = 200
+_SMALL_PRIMES = tuple(primes_up_to(_TRIAL_BOUND))
+# The first 13 primes are a deterministic Miller-Rabin base set below
+# PSI_13, the least strong pseudoprime to all of them (J. Sorenson and
+# J. Webster, Strong pseudoprimes to twelve prime bases, Math. Comp. 86,
+# 2017).
+_MR_BASES = _SMALL_PRIMES[:13]
+PSI_13 = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality test.
+
+    Trial division by the primes below 200, then strong probable-prime
+    tests to the bases 2, 3, ..., 41.  A base that witnesses
+    compositeness is a proof at any size; passing all of them proves n
+    prime only below PSI_13, so at or above it a ValueError is raised
+    instead of an answer.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < _TRIAL_BOUND * _TRIAL_BOUND:  # a composite has a factor <= its square root
+        return True
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= PSI_13:
+        raise ValueError(f"primality of {n} >= PSI_13 is not decided by 13 bases")
+    return True
+
+
+def is_prime_power(n: int) -> bool:
+    """True iff n = p^k for a single prime p, k >= 1.
+
+    Needs no factorization: a prime below 200 that divides n settles it,
+    and otherwise some exact k-th root of n must be prime.  Larger k are
+    tried first, so a proper prime power answers without testing n itself.
+    """
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p ** val_p(n, p)
+    # every prime factor now exceeds 2^7, so n = q^k forces 7k < n.bit_length()
+    for k in range(n.bit_length() // 7, 0, -1):
+        root, exact = integer_nth_root(n, k)
+        if exact and is_prime(root):
+            return True
+    return False
+
+
+def _brent_rho(n: int) -> int:
+    """A proper divisor of an odd composite n that is not a perfect square.
+
+    Pollard's rho with Brent's cycle detection, which moves the saved
+    point up to the running one after each power of two steps (R. Brent,
+    An improved Monte Carlo factorization algorithm, BIT 20, 1980).  The
+    maps x^2 + c are tried for c = 1, 2, ... from x = 2, so the result is
+    deterministic.
+    """
+    c = 0
+    while True:
+        c += 1
+        x = y = 2
+        power = steps = 1
+        g = 1
+        while g == 1:
+            if steps == power:
+                x, power, steps = y, 2 * power, 0
+            y = (y * y + c) % n
+            steps += 1
+            g = math.gcd(x - y, n)
+        if g != n:
+            return g
+
+
+_FACTOR_LIMIT = 10**18
+
+
+def factorize(n: int) -> dict[int, int]:
+    """Prime factorization {p: e} of 1 <= n <= 10^18, primes ascending.
+
+    Trial division by the primes below 200, then, on each cofactor,
+    is_prime, a perfect-square check and Brent's rho.
+    """
+    if n < 1:
+        raise ValueError("factorize requires n >= 1")
+    if n > _FACTOR_LIMIT:
+        raise ValueError("refusing to factor n > 1e18")
+    out: dict[int, int] = {}
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            out[p] = val_p(n, p)
+            n //= p ** out[p]
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+            continue
+        r = math.isqrt(m)
+        d = r if r * r == m else _brent_rho(m)
+        pending += (d, m // d)
+    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------

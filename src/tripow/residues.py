@@ -13,18 +13,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from sympy import isprime, factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
 from .numerics import (
     GaussianInt,
     UNITS,
+    factorize,
     g_gcd,
     g_divides,
     g_divexact,
     g_powmod,
     g_pow,
     integer_nth_root,
+    is_prime,
+    primes_up_to,
     val_p,
 )
 from .triples import PrimPair, triple_of
@@ -122,17 +122,23 @@ def primary_associate(g: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
     raise AssertionError("odd Gaussian integer must have a primary associate")
 
 
-_FACTOR_NORM_LIMIT = 10**18
+def _sqrt_minus_one(p: int) -> int:
+    """A square root of -1 modulo a prime p = 1 (mod 4).
+
+    g^((p-1)/4) squares to g^((p-1)/2) = (g/p) = -1 for the least
+    quadratic non-residue g.
+    """
+    g = 2
+    while jacobi(g, p) != -1:
+        g += 1
+    return pow(g, (p - 1) // 4, p)
 
 
 def _gaussian_prime_factors(g: GaussianInt) -> list[tuple[GaussianInt, int]]:
     """Gaussian prime factorization of an odd-norm g, via its norm."""
-    n = g.norm()
-    if n > _FACTOR_NORM_LIMIT:
-        raise ValueError("refusing to factor modulus of norm > 1e18")
     out: list[tuple[GaussianInt, int]] = []
     rem = g
-    for p in sorted(factorint(n)):
+    for p in factorize(g.norm()):
         if p % 4 == 3:
             pi = GaussianInt(p, 0)
             mult = 0
@@ -142,8 +148,7 @@ def _gaussian_prime_factors(g: GaussianInt) -> list[tuple[GaussianInt, int]]:
             if mult:
                 out.append((pi, mult))
         else:
-            s = int(sqrt_mod(p - 1, p))
-            split = g_gcd(GaussianInt(p, 0), GaussianInt(s, 1))
+            split = g_gcd(GaussianInt(p, 0), GaussianInt(_sqrt_minus_one(p), 1))
             for cand in (split, split.conj()):
                 mult = 0
                 while g_divides(cand, rem):
@@ -182,8 +187,8 @@ def quartic_symbol(a, modulus: GaussianInt) -> QuarticValue:
         raise ValueError("modulus must not be a unit")
     if not g_gcd(a, modulus).is_unit():
         raise ValueError("arguments not coprime")
-    if isprime(n) or (modulus.im == 0 and isprime(abs(modulus.re))) or (
-        modulus.re == 0 and isprime(abs(modulus.im))
+    if is_prime(n) or (modulus.im == 0 and is_prime(abs(modulus.re))) or (
+        modulus.re == 0 and is_prime(abs(modulus.im))
     ):
         return _quartic_prime(a, modulus)
     total = QuarticValue(0)
@@ -407,12 +412,7 @@ def sum_of_powers_prime_residues(n: int, X: int, Z: int, limit: int = 50000):
     if X % 2 == 0 or Z % 2 == 0 or Z <= X:
         raise ValueError("requires odd X < Z")
     N = n ** (2 * (Z - X)) + 1
-    found = []
-    q = 3
-    while q <= limit:
-        if N % q == 0 and isprime(q):
-            found.append((q, q % 8))
-        q += 2
+    found = [(q, q % 8) for q in primes_up_to(limit) if q > 2 and N % q == 0]
     return {
         "divisors": found,
         "all_one_mod_8": all(r == 1 for _, r in found),

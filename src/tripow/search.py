@@ -18,6 +18,7 @@ import math
 from .numerics import (
     GaussianInt,
     UNITS,
+    factorize,
     g_pow,
     integer_nth_root,
     perfect_power_exponent,
@@ -282,24 +283,10 @@ def gaussian_power_structure(a1: int, b1: int, Z: int) -> dict:
         checks["two_adic_match"] = val_p(k, 2) == val_p(a1, 2)
     else:
         checks["two_adic_match"] = val_p(l, 2) == val_p(b1, 2)
-    odd_ok = True
-    for p in _odd_prime_divisors(abs(a1)):
-        odd_ok = odd_ok and val_p(k, p) == val_p(a1, p) + val_p(Z, p)
-    for p in _odd_prime_divisors(abs(b1)):
-        odd_ok = odd_ok and val_p(l, p) == val_p(b1, p) + val_p(Z, p)
-    checks["odd_prime_valuations"] = odd_ok
+    checks["odd_prime_valuations"] = all(
+        val_p(part, p) == val_p(base, p) + val_p(Z, p)
+        for base, part in ((a1, k), (b1, l))
+        for p in factorize(abs(base))
+        if p > 2
+    )
     return {"k": k, "l": l, "checks": checks, "ok": all(checks.values())}
-
-
-def _odd_prime_divisors(n: int):
-    out = []
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 2
-    if n > 2:
-        out.append(n)
-    return out

@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from sympy import factorint
-
-from .numerics import val_p
+from .numerics import is_prime_power, val_p
 
 __all__ = [
     "PrimPair",
@@ -117,13 +115,6 @@ def two_adic_profile(p: PrimPair) -> TwoAdicProfile:
     beta = val_p(rest, 2)
     j = rest >> beta
     return TwoAdicProfile(alpha=alpha, i=i, beta=beta, j=j, e=e)
-
-
-def is_prime_power(n: int) -> bool:
-    """True iff n = p^k for a single prime p, k >= 1."""
-    if n < 2:
-        return False
-    return len(factorint(n)) == 1
 
 
 def exclusion_conditions(p: PrimPair) -> dict[str, bool]:

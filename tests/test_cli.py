@@ -1,10 +1,14 @@
 """Exit codes, report shapes, determinism, and configuration plumbing."""
 
 import json
+import os
+import subprocess
+import sys
 
 import mpmath
 import pytest
 
+import tripow
 from tripow.cli import main
 from tripow.triples import iter_pairs
 
@@ -279,3 +283,56 @@ def test_precision_floor(capsys):
     code, _, err = run(capsys, "verify", "--m", "2", "--n", "1",
                        "--precision-bits", "16")
     assert code == 2 and "at least 64" in err
+
+
+# -- one process, many calls -------------------------------------------------------
+
+
+def _call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects bad flags by exiting
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_repeat_their_first_output(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 13\nn = 4\ncap = 5\nformat = json\n")
+    calls = [
+        ("verify", "--m", "13", "--n", "4", "--format", "json"),
+        ("threshold", "--theorem", "1.3", "--format", "json"),
+        ("verify", "--m", "13", "--no-such-flag"),
+        ("--config", str(cfg), "verify"),
+    ]
+    first = [_call(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 0, 2, 0]
+    assert json.loads(first[0][1])["inputs"]["cap"] == 30
+    assert json.loads(first[3][1])["inputs"]["cap"] == 5
+    # the config file's values stay with the call that named it, so the
+    # verify call after it still reads the default cap
+    for _ in range(2):
+        assert [_call(capsys, argv) for argv in calls] == first
+
+
+def test_cli_runs_without_sympy():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tripow.__file__)))
+    script = (
+        "import contextlib, io, sys\n"
+        "import tripow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [tripow.cli.main(argv) for argv in (\n"
+        "        ['verify', '--m', '13', '--n', '4'],\n"
+        "        ['symbols', '--quartic', '2', '--mod', '9,-4'],\n"
+        "        ['symbols', '--quartic', '2', '--mod', '7,4'],\n"
+        "    )]\n"
+        "print(codes, 'sympy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]

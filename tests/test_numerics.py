@@ -10,14 +10,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import factorint, isprime, nextprime, prevprime
 
 from tripow.numerics import (
     DEFAULT_PRECISION,
     GaussianInt,
     I,
     ONE,
+    PSI_13,
     RInterval,
     UNITS,
+    factorize,
     g_divexact,
     g_divides,
     g_divmod,
@@ -26,8 +29,11 @@ from tripow.numerics import (
     g_pow,
     g_powmod,
     integer_nth_root,
+    is_prime,
+    is_prime_power,
     ln_weighted_sum,
     perfect_power_exponent,
+    primes_up_to,
     val_p,
 )
 
@@ -96,6 +102,80 @@ def test_integer_nth_root_bracket(N, n):
     root, exact = integer_nth_root(N, n)
     assert root**n <= N < (root + 1) ** n
     assert exact == (root**n == N)
+
+
+# -- primes and factoring, against sympy ---------------------------------------
+
+
+def test_primes_up_to_matches_isprime():
+    assert primes_up_to(1) == [] and primes_up_to(2) == [2]
+    assert primes_up_to(10**5) == [n for n in range(10**5 + 1) if isprime(n)]
+
+
+def test_is_prime_matches_sympy_below_a_million():
+    assert [n for n in range(10**6) if is_prime(n)] == [n for n in range(10**6) if isprime(n)]
+
+
+@pytest.mark.parametrize("bits", [64, 80])
+def test_is_prime_matches_sympy_on_random_wide_integers(bits):
+    rng = random.Random(bits)
+    ns = [rng.getrandbits(bits) | 1 for _ in range(2000)]
+    ns += [nextprime(rng.getrandbits(bits)) for _ in range(50)]
+    assert [is_prime(n) for n in ns] == [isprime(n) for n in ns]
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        3215031751,  # strong pseudoprime to the bases 2, 3, 5, 7
+        3825123056546413051,  # strong pseudoprime to the bases 2, ..., 23
+        318665857834031151167461,  # psi_12: strong pseudoprime to the bases 2, ..., 37
+    ],
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not isprime(n)
+    assert not is_prime(n)
+
+
+def test_is_prime_raises_where_thirteen_bases_do_not_decide():
+    assert not isprime(PSI_13)
+    with pytest.raises(ValueError, match="PSI_13"):
+        is_prime(PSI_13)
+    # a small factor or a witness base still proves compositeness above PSI_13
+    for n in (PSI_13 + 1, PSI_13 + 30):
+        assert is_prime(n) == isprime(n) == False
+
+
+def test_factorize_matches_factorint():
+    rng = random.Random(6)
+    ns = [rng.randrange(1, 10**k) for k in (3, 6, 9, 12, 15, 18) for _ in range(60)]
+    # semiprimes with both factors near 2^30, and prime squares and cubes
+    ns += [prevprime(rng.randrange(2**29, 10**9)) * prevprime(rng.randrange(2**29, 10**9))
+           for _ in range(5)]
+    ns += [prevprime(rng.randrange(10**8, 10**9)) ** 2 for _ in range(5)]
+    ns += [prevprime(rng.randrange(10**5, 3 * 10**5)) ** 3 * 9 for _ in range(5)]
+    ns += [1, 2, 199, 211, 200 * 200, 211 * 211, 10**18]
+    for n in ns:
+        assert factorize(n) == factorint(n), n
+
+
+def test_factorize_refuses_above_its_limit():
+    with pytest.raises(ValueError, match="1e18"):
+        factorize(10**18 + 1)
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
+def test_is_prime_power_matches_factorint():
+    assert [n for n in range(10**5) if is_prime_power(n)] == [
+        n for n in range(2, 10**5) if len(factorint(n)) == 1
+    ]
+    rng = random.Random(20)
+    for _ in range(40):
+        k = rng.randint(1, 6)
+        p = nextprime(rng.randrange(2, int(10 ** (20 / k))))
+        assert is_prime_power(p**k)
+        assert not is_prime_power(p**k * 211) and not is_prime_power(p**k * nextprime(p))
 
 
 # -- Gaussian integers -------------------------------------------------------

@@ -10,10 +10,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy import factorint, isprime
 
-from tripow.numerics import GaussianInt, I, ONE, g_pow
+from tripow.numerics import GaussianInt, I, ONE, UNITS, g_pow
 from tripow.residues import (
     ParityConstraint,
     _forces_all_even,
+    _gaussian_prime_factors,
+    _sqrt_minus_one,
     QuarticValue,
     is_primary,
     jacobi,
@@ -216,6 +218,30 @@ def test_quartic_symbol_composite_modulus():
         if math.gcd(a.norm(), comp.norm()) != 1:
             continue
         assert quartic_symbol(a, comp) == quartic_symbol(a, m1) * quartic_symbol(a, m2)
+
+
+def test_sqrt_minus_one_squares_to_minus_one():
+    for p in range(5, 10**5, 4):
+        if isprime(p):
+            s = _sqrt_minus_one(p)
+            assert 0 < s < p and s * s % p == p - 1
+
+
+def test_gaussian_prime_factors_multiply_back_to_a_unit_multiple():
+    rng = random.Random(11)
+    for bound in (10**3, 10**6, 7 * 10**8):
+        for _ in range(40):
+            g = GaussianInt(rng.randrange(-bound, bound), rng.randrange(-bound, bound))
+            if g.norm() % 2 == 0 or g.norm() == 1:
+                continue
+            prod = ONE
+            for pi, mult in _gaussian_prime_factors(g):
+                n = pi.norm()
+                # a Gaussian prime: split (norm p) or inert (norm q^2, q = 3 mod 4)
+                q = isqrt(n)
+                assert isprime(n) or (q * q == n and isprime(q) and q % 4 == 3)
+                prod = prod * g_pow(pi, mult)
+            assert any(u * prod == g for u in UNITS)
 
 
 def test_quartic_symbol_rejects_non_coprime():
