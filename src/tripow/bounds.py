@@ -25,7 +25,7 @@ import math
 import mpmath
 from mpmath.libmp import round_floor, to_int, to_rational as _to_rational
 
-from .numerics import DEFAULT_PRECISION, RInterval, ln_weighted_sum
+from .numerics import DEFAULT_PRECISION, RInterval, ln_superfactorial
 from .triples import PrimPair, triple_of, two_adic_profile
 
 __all__ = [
@@ -253,7 +253,8 @@ class LaurentInstance:
     a1: RInterval
     a2: RInterval
     D: int = 1
-    # ln_b's K-term sum by precision: computed once, it is most of the work
+    # ln_superfactorial(K - 1) by precision: nearly all of ln_b's time, and a
+    # laurent run asks for ln_b three times
     _factorial_log_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -291,13 +292,8 @@ class LaurentInstance:
         ln_lead = RInterval(lead, precision=prec).ln()
         sums = self._factorial_log_sums
         if prec not in sums:
-            sums[prec] = _weighted_factorial_log_sum(self.K, prec)
+            sums[prec] = ln_superfactorial(self.K - 1, prec)
         return ln_lead - sums[prec] * Fraction(2, self.K * self.K - self.K)
-
-
-def _weighted_factorial_log_sum(K: int, precision: int) -> RInterval:
-    """sum_{k=1}^{K-1} ln(k!) = sum_{j=2}^{K-1} (K-j) ln j, as one interval."""
-    return ln_weighted_sum(((K - j, j) for j in range(2, K)), precision)
 
 
 def laurent_check(inst: LaurentInstance, precision: int | None = None):

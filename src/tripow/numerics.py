@@ -59,7 +59,7 @@ __all__ = [
     "g_divmod",
     "g_gcd",
     "RInterval",
-    "ln_weighted_sum",
+    "ln_superfactorial",
     "DEFAULT_PRECISION",
 ]
 
@@ -571,14 +571,34 @@ class RInterval:
         return RInterval._wrap(mpi_exp((fone, fone), precision), precision)
 
 
-def ln_weighted_sum(terms, precision: int) -> RInterval:
-    """Enclosure of sum(w * ln j) over integer pairs (w, j), j >= 1.
+# j per block of ln_superfactorial: each block costs two interval logs, and
+# its exact products grow as the block's square.  Timed at K from 13k to
+# 34k, 128 and 256 bits: 24 and 32 tie, 16 pays for more logs, 40 and 64
+# for the products.
+SUPERFACTORIAL_BLOCK = 32
 
-    Each term is w times ln j at the given precision, added in order;
-    the empty sum is exactly 0.
+
+def ln_superfactorial(n: int, precision: int) -> RInterval:
+    """Enclosure of sum_{k=1}^{n} ln(k!) = sum_{j=2}^{n} (n + 1 - j) ln j.
+
+    The j run in blocks of SUPERFACTORIAL_BLOCK.  A block ending at ``end``
+    adds (n + 1 - end) ln P + ln Q, where P = prod j and Q = prod j^(end - j)
+    are exact integers, so it costs two outward-rounded logs instead of one
+    per j.  n <= 1 gives an exact 0.
     """
+    if n < 0:
+        raise ValueError("requires n >= 0")
     total = (fzero, fzero)
-    for w, j in terms:
-        term = mpi_mul(_int_mpi(w, precision), mpi_log(_int_mpi(j, precision), precision), precision)
-        total = mpi_add(total, term, precision)
+    for start in range(1, n + 1, SUPERFACTORIAL_BLOCK):
+        end = min(start + SUPERFACTORIAL_BLOCK - 1, n)
+        p = q = 1
+        for j in range(start, end):
+            p *= j
+            q *= p  # the prefix product through j, so j enters q end - j times
+        p *= end
+        weighted = mpi_mul(
+            _int_mpi(n + 1 - end, precision), mpi_log(_int_mpi(p, precision), precision), precision
+        )
+        block = mpi_add(weighted, mpi_log(_int_mpi(q, precision), precision), precision)
+        total = mpi_add(total, block, precision)
     return RInterval._wrap(total, precision)

@@ -9,6 +9,7 @@ import mpmath
 import pytest
 
 import tripow
+from tripow import bounds
 from tripow.cli import main
 from tripow.triples import iter_pairs
 
@@ -204,6 +205,61 @@ def test_laurent_worked_instance(capsys):
         "ln_b_below_closed_form": True,
     }
     assert res["L"] == 6 and res["L_floored"] is False
+
+
+# The worked instance, then one argv per benchmark stratum (L = 3, 6, 9).
+# Nothing here depends on the ln_b superfactorial sum's enclosure.
+LAURENT_PINNED = [
+    (("1100", "10"),
+     dict(K=22678, L=6, R=1466, S=95, N=136068, b1=655, b2=655, g="46957/278540"),
+     "-281207.2", "-346250.842143310802106382"),
+    (("1285", "0.175"),
+     dict(K=13246, L=3, R=857, S=48, N=39738, b1=11, b2=11, g="13945/82272"),
+     "-82125.2", "-126377.851078220764768507"),
+    (("1185", "10"),
+     dict(K=24430, L=6, R=1580, S=95, N=146580, b1=658, b2=658, g="2531/15010"),
+     "-302932.0", "-373005.003331016332118717"),
+    (("1085", "500"),
+     dict(K=33552, L=9, R=2169, S=144, N=301968, b1=32762, b2=32762, g="245/1446"),
+     "-624067.2", "-694954.999057594307692795"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, fields, log_bound, log_form", LAURENT_PINNED, ids=["worked", "L3", "L6", "L9"]
+)
+def test_laurent_pinned_report_fields(capsys, args, fields, log_bound, log_form):
+    a2, bprime = args
+    code, rep, _ = run_json(capsys, "laurent", "--a2", a2, "--bprime", bprime)
+    res = rep["results"]
+    assert code == 0
+    assert {k: res["instance"][k] for k in fields} == fields
+    assert res["condition_holds"] is True
+    assert res["rechecks"] == {
+        "gL_term_below_closed_form": True,
+        "ln_b_below_closed_form": True,
+    }
+    assert res["log_bound"] == {"lo": log_bound, "hi": log_bound}
+    assert res["log_form_lower_bound"] == {"lo": log_form, "hi": log_form}
+
+
+def test_laurent_sums_superfactorial_once_per_instance(monkeypatch, capsys):
+    calls = {"ln_b": 0, "sum": 0}
+    ln_b, ln_superfactorial = bounds.LaurentInstance.ln_b, bounds.ln_superfactorial
+
+    def counted_ln_b(*args, **kwargs):
+        calls["ln_b"] += 1
+        return ln_b(*args, **kwargs)
+
+    def counted_sum(*args, **kwargs):
+        calls["sum"] += 1
+        return ln_superfactorial(*args, **kwargs)
+
+    monkeypatch.setattr(bounds.LaurentInstance, "ln_b", counted_ln_b)
+    monkeypatch.setattr(bounds, "ln_superfactorial", counted_sum)
+    code, _, _ = run_json(capsys, "laurent", "--a2", "1285", "--bprime", "0.175")
+    assert code == 0
+    assert calls == {"ln_b": 3, "sum": 1}
 
 
 def test_laurent_requires_inputs(capsys):

@@ -19,6 +19,7 @@ from tripow.numerics import (
     ONE,
     PSI_13,
     RInterval,
+    SUPERFACTORIAL_BLOCK,
     UNITS,
     factorize,
     g_divexact,
@@ -31,7 +32,7 @@ from tripow.numerics import (
     integer_nth_root,
     is_prime,
     is_prime_power,
-    ln_weighted_sum,
+    ln_superfactorial,
     perfect_power_exponent,
     primes_up_to,
     val_p,
@@ -349,21 +350,38 @@ def test_interval_ignores_mpmath_global_precision():
     assert exact(mid) == (exact(iv.lo) + exact(iv.hi)) / 2
 
 
-def test_ln_weighted_sum_contains_high_precision_value():
-    rng = random.Random(7)
-    for _ in range(30):
-        precision = rng.choice((16, 64, 128))
-        terms = [
-            (rng.randint(-(10**6), 10**6), rng.randint(1, 10**9))
-            for _ in range(rng.randint(1, 40))
-        ]
-        with mpmath.workprec(400):
-            ref = mpmath.fsum(w * mpmath.log(j) for w, j in terms)
-        iv = ln_weighted_sum(terms, precision)
+def _superfactorial_reference(n):
+    """sum_{j=2}^{n} (n + 1 - j) ln j, one log per term at 400 bits."""
+    with mpmath.workprec(400):
+        return mpmath.fsum((n + 1 - j) * mpmath.log(j) for j in range(2, n + 1))
+
+
+B = SUPERFACTORIAL_BLOCK
+
+
+@pytest.mark.parametrize("n", [2, B - 1, B, B + 1, 2 * B + 1, 12999, 22677, 33551])
+def test_ln_superfactorial_contains_high_precision_value(n):
+    ref = _superfactorial_reference(n)
+    for precision in (64, 128, 256):
+        iv = ln_superfactorial(n, precision)
         assert iv.precision == precision
         assert iv.lo <= ref <= iv.hi
 
 
-def test_ln_weighted_sum_empty_is_exact_zero():
-    iv = ln_weighted_sum([], 128)
-    assert iv.lo == 0 and iv.hi == 0 and iv.width == 0
+def test_ln_superfactorial_of_one_is_exact_zero():
+    for n in (0, 1):
+        iv = ln_superfactorial(n, 128)
+        assert iv.lo == 0 and iv.hi == 0 and iv.width == 0
+    with pytest.raises(ValueError):
+        ln_superfactorial(-1, 128)
+
+
+def test_ln_superfactorial_no_wider_than_per_term_sum():
+    # the worked laurent instance: K = 22678, so n = K - 1
+    n, precision = 22677, 128
+    per_term = RInterval(0, precision=precision)
+    for j in range(2, n + 1):
+        per_term = per_term + RInterval(j, precision=precision).ln() * (n + 1 - j)
+    iv = ln_superfactorial(n, precision)
+    assert iv.lo <= per_term.hi and per_term.lo <= iv.hi
+    assert iv.width <= per_term.width
