@@ -133,11 +133,10 @@ def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> d
     """Evaluate the exponent-ordering requirements on an all-even candidate.
 
     Every predicate is a necessary condition for an exceptional solution;
-    a single certified failure excludes the candidate.  The trivial
-    solution (2,2,2) is marked non-exceptional and skipped.
+    a single certified failure excludes the candidate.  An ExponentTriple
+    t that is not exceptional, (2,2,2) included, is marked so and skipped.
     """
-    x, y, z = t.x, t.y, t.z
-    if (x, y, z) == (2, 2, 2) or x % 2 or y % 2 or z % 2:
+    if not t.exceptional():
         return {
             "exceptional_candidate": False,
             "skipped": True,
@@ -145,6 +144,7 @@ def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> d
             "excluded": False,
             "failures": [],
         }
+    x, y, z = t.x, t.y, t.z
     tr = triple_of(p)
     ln_c = RInterval(tr.c, precision=precision).ln()
     ln_b = RInterval(tr.b, precision=precision).ln()

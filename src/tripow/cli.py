@@ -38,7 +38,7 @@ from .bounds import (
     two_log_lower_bound,
     y_upper_bound,
 )
-from .numerics import DEFAULT_PRECISION, GaussianInt, RInterval, val_p
+from .numerics import DEFAULT_PRECISION, GaussianInt, RInterval
 from .residues import jacobi, parity_engine, quadratic_sieve, quartic_symbol
 from .search import find_solutions, scan_range
 from .triples import exclusion_conditions, new_pair, triple_of, two_adic_profile
@@ -104,6 +104,9 @@ def _new_report(config: RunConfig, inputs: dict) -> dict:
 
 
 def cmd_verify(config: RunConfig) -> tuple[dict, int]:
+    for key in ("m", "n"):
+        if getattr(config, key) is None:
+            raise ValueError(f"verify requires --{key}")
     p = new_pair(config.m, config.n)
     tr = triple_of(p)
     report = _new_report(
@@ -125,8 +128,10 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         sorted(quadratic_sieve(p), key=lambda c: (c.kind, c.source))
     )
 
-    if val_p(p.even_member, 2) >= 2:
-        verdict = parity_engine(p)
+    verdict = parity_engine(p)
+    if verdict.note:
+        res["engine"] = {"applicable": False, "note": verdict.note}
+    else:
         res["engine"] = {
             "applicable": verdict.applicable,
             "case": verdict.case,
@@ -134,8 +139,6 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
             "assumed_y_gt_1": verdict.assumed_y_gt_1,
             "constraints": _constraints_json(verdict.constraints),
         }
-    else:
-        res["engine"] = {"applicable": False, "note": "requires 4 | even member"}
 
     try:
         prof = two_adic_profile(p)
@@ -394,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--precision-bits", type=int, dest="precision_bits")
         sp.add_argument("--format", choices=("text", "json"))
-        sp.add_argument("--output", dest="output_path")
 
     sp = sub.add_parser("verify", help="full dossier for one pair")
     sp.add_argument("--m", type=int)
@@ -406,6 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--m-max", type=int, dest="m_max")
     sp.add_argument("--cap", type=int)
     sp.add_argument("--jobs", type=int)
+    sp.add_argument("--output", dest="output_path", help="CSV of every solution found")
     common(sp)
 
     sp = sub.add_parser("threshold", help="certify the final inequality")
@@ -435,14 +438,6 @@ _COMMANDS = {
     "laurent": cmd_laurent,
 }
 
-_REQUIRED = {
-    "verify": ("m", "n"),
-    "scan": (),
-    "threshold": (),
-    "symbols": (),
-    "laurent": (),
-}
-
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     merged: dict = {}
@@ -465,10 +460,6 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise ValueError(f"{ENV_PRECISION} must be an integer") from None
         elif args.command == "threshold":
             merged["precision_bits"] = THRESHOLD_PRECISION
-
-    for key in _REQUIRED[args.command]:
-        if merged.get(key) is None:
-            raise ValueError(f"{args.command} requires --{key.replace('_', '-')}")
 
     fields = RunConfig.__dataclass_fields__
     return RunConfig(**{k: v for k, v in merged.items() if k in fields})

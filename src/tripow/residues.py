@@ -1,7 +1,7 @@
 """Quadratic and quartic residue machinery and the parity engine.
 
 The parity engine answers one question for a generator pair whose even
-member is divisible by 4: must every solution of a^x + b^y = c^z in the
+member is m, with 4 | m: must every solution of a^x + b^y = c^z in the
 exceptional-candidate sense have x, y, z all even?  Each applicable rule
 is verified live on the pair (Jacobi characters, residue cycle
 exhaustion, quartic symbols over Z[i]); the verdict records the full
@@ -235,10 +235,11 @@ class ParityConstraint:
 @dataclass(frozen=True)
 class ParityVerdict:
     applicable: bool
-    all_even: bool
-    constraints: tuple[ParityConstraint, ...]
-    assumed_y_gt_1: bool
+    all_even: bool = False
+    constraints: tuple[ParityConstraint, ...] = ()
+    assumed_y_gt_1: bool = False
     case: str | None = None
+    note: str | None = None  # why a declined pair is outside the engine
 
     @property
     def rule_ids(self) -> tuple[str, ...]:
@@ -268,14 +269,14 @@ def _forces_all_even(constraints) -> bool:
     return all(find(v) == root for v in ("x", "y", "z"))
 
 
-def _mod4_rule(A: int, C: int) -> ParityConstraint | None:
-    """x-even when A^x = C^z (mod 4) admits only even x, else None."""
-    feas = parity_feasible(A % 4, C % 4, 4)
+def _mod4_rule(a: int, c: int) -> ParityConstraint | None:
+    """x-even when a^x = c^z (mod 4) admits only even x, else None."""
+    feas = parity_feasible(a % 4, c % 4, 4)
     if feas and all(px == "even" for px, _ in feas):
         return ParityConstraint(
             "x-even",
             "mod4-x-even",
-            f"{A % 4}^x = {C % 4}^z (mod 4) admits only even x",
+            f"{a % 4}^x = {c % 4}^z (mod 4) admits only even x",
         )
     return None
 
@@ -316,9 +317,10 @@ def quadratic_sieve(p: PrimPair) -> frozenset[ParityConstraint]:
     a^x = c^z, and the Jacobi rules modulo e + o and e - o, which both
     divide a (e is the even member, o the odd one).  Their ids carry the
     signed residue mod 8, even member minus odd: (m, n) = (7, 4) gives
-    "diff-mod8-5-y-eq-z" because 4 - 7 = 5 (mod 8).  parity_engine calls
-    the same rules with the same b, c and q, so a rule id names one fact
-    in both.  Every rule is a necessary condition on any solution with
+    "diff-mod8-5-y-eq-z" because 4 - 7 = 5 (mod 8).  On the pairs
+    parity_engine applies to (even member m, 4 | m) it calls the same
+    rules with the same a, b, c and q, so a rule id names one fact in
+    both.  Every rule is a necessary condition on any solution with
     x, y, z >= 1; none can exclude (2,2,2).
     """
     e, o = p.even_member, p.odd_member
@@ -424,33 +426,32 @@ def sum_of_powers_prime_residues(n: int, X: int, Z: int, limit: int = 50000):
 
 
 def parity_engine(p: PrimPair) -> ParityVerdict:
-    """Full parity dispatch for a pair whose even generator has 4 | it.
+    """Full parity dispatch for a pair whose even generator is m, 4 | m.
 
-    Notation inside: e is the even generator, o the odd one; the rules
-    are evaluated for the bases (e^2 - o^2, 2eo, e^2 + o^2) with the sign
-    of the first tracked exactly, which coincides with the triple's legs
-    whenever e is the larger member.  Every congruence premise is checked
-    live on the pair rather than assumed from the case label.  The Jacobi
-    rules are the ones quadratic_sieve evaluates, with the same
-    arguments; so is the mod-4 rule whenever e is the larger member.
+    Any other valid pair gets a declined verdict whose note names the
+    missing hypothesis.  Notation inside: e = m is the even generator,
+    o = n the odd one, and every rule is evaluated on the stored triple
+    (a, b, c), as quadratic_sieve does, with the same arguments for the
+    mod-4 and Jacobi rules.  Every congruence premise is checked live on
+    the pair rather than assumed from the case label.
     """
     e, o = p.even_member, p.odd_member
     alpha = val_p(e, 2)
     if alpha < 2:
-        raise ValueError("engine requires 4 | m")
-    A = e * e - o * o  # signed; Python mod keeps the congruences honest
-    B = 2 * e * o
-    C = e * e + o * o
+        return ParityVerdict(False, note="requires 4 | even member")
+    if e < o:
+        return ParityVerdict(False, note="requires the even member to be m")
+    t = triple_of(p)
     res8 = o % 8
     constraints: list[ParityConstraint] = []
     assumed = False
     case = None
 
     def mod16_rule(y_ge_2_reason: str):
-        feas = parity_feasible(A % 16, C % 16, 16)
+        feas = parity_feasible(t.a % 16, t.c % 16, 16)
         if feas == {("even", "even")}:
             note = (
-                f"{A % 16}^x = {C % 16}^z (mod 16) admits only even x, z"
+                f"{t.a % 16}^x = {t.c % 16}^z (mod 16) admits only even x, z"
                 f" ({y_ge_2_reason})"
             )
             constraints.append(ParityConstraint("x-even", "mod16-x-z-even", note))
@@ -462,7 +463,7 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
 
     if res8 == 1 and alpha == 2:
         case = "odd=1(8), even=4(8)"
-        add(_mod4_rule(A, C))
+        add(_mod4_rule(t.a, t.c))
         pi = GaussianInt(o, -e)
         s1 = quartic_symbol(GaussianInt(2 * o * o, 0), pi)
         s2 = quartic_symbol(GaussianInt(0, 2 * e * e), pi)
@@ -474,17 +475,17 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
                     "(2o^2/o-ei)_4 = (2e^2 i/o-ei)_4 = -1 force (-1)^x = (-1)^y",
                 )
             )
-        add(_jacobi_pair_rule(e + o, B, C, "sum"))
+        add(_jacobi_pair_rule(e + o, t.b, t.c, "sum"))
     elif res8 == 3:
         if e % 8 == 4:
             case = "odd=3(8), even=4(8)"
-            add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 7 mod 8: y even
+            add(_jacobi_pair_rule(e + o, t.b, t.c, "sum"))  # sum = 7 mod 8: y even
             mod16_rule("y even makes y >= 2, so 16 divides b^y")
         else:
             case = "odd=3(8), even=0(8)"
-            add(_mod4_rule(A, C))
-            add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 3 mod 8: z even
-            add(_jacobi_pair_rule(e - o, B, C, "diff"))  # diff = 5 mod 8: y = z
+            add(_mod4_rule(t.a, t.c))
+            add(_jacobi_pair_rule(e + o, t.b, t.c, "sum"))  # sum = 3 mod 8: z even
+            add(_jacobi_pair_rule(e - o, t.b, t.c, "diff"))  # diff = 5 mod 8: y = z
     elif res8 == 5:
         case = "odd=5(8)"
         assumed = True
@@ -499,17 +500,11 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
         )
     elif res8 == 7 and alpha == 2:
         case = "odd=7(8), even=4(8)"
-        add(_mod4_rule(A, C))
-        add(_jacobi_pair_rule(e + o, B, C, "sum"))  # sum = 3 mod 8: z even
-        add(_jacobi_pair_rule(e - o, B, C, "diff"))  # signed diff = 5 mod 8: y = z
+        add(_mod4_rule(t.a, t.c))
+        add(_jacobi_pair_rule(e + o, t.b, t.c, "sum"))  # sum = 3 mod 8: z even
+        add(_jacobi_pair_rule(e - o, t.b, t.c, "diff"))  # diff = 5 mod 8: y = z
     else:
-        return ParityVerdict(
-            applicable=False,
-            all_even=False,
-            constraints=(),
-            assumed_y_gt_1=False,
-            case=None,
-        )
+        return ParityVerdict(False)
 
     ctuple = tuple(constraints)
     return ParityVerdict(

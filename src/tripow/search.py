@@ -52,6 +52,10 @@ class ExponentTriple:
     def all_even(self) -> bool:
         return self.x % 2 == 0 and self.y % 2 == 0 and self.z % 2 == 0
 
+    def exceptional(self) -> bool:
+        """All even and not the trivial (2, 2, 2)."""
+        return self.all_even() and (self.x, self.y, self.z) != (2, 2, 2)
+
 
 @dataclass(frozen=True)
 class SolutionRecord:
@@ -64,14 +68,13 @@ class SolutionRecord:
         s = self.sol
         if t.a**s.x + t.b**s.y != t.c**s.z:
             raise ValueError("not a solution")
-        want = s.all_even() and (s.x, s.y, s.z) != (2, 2, 2)
-        if self.exceptional != want:
+        if self.exceptional != s.exceptional():
             raise ValueError("exceptional flag inconsistent with exponents")
 
 
 def _record(pair: PrimPair, x: int, y: int, z: int) -> SolutionRecord:
     sol = ExponentTriple(x, y, z)
-    return SolutionRecord(pair, sol, sol.all_even() and (x, y, z) != (2, 2, 2))
+    return SolutionRecord(pair, sol, sol.exceptional())
 
 
 def _dominant_term_solutions(a: int, b: int, c: int, cap: int) -> list[tuple[int, int, int]]:
@@ -187,9 +190,7 @@ def scan_range(m_max: int, cap: int, jobs: int = 1) -> dict:
             solutions.append({"m": m, "n": n, "x": x, "y": y, "z": z})
     non_trivial = [s for s in solutions if (s["x"], s["y"], s["z"]) != (2, 2, 2)]
     exceptional = [
-        s
-        for s in non_trivial
-        if s["x"] % 2 == 0 and s["y"] % 2 == 0 and s["z"] % 2 == 0
+        s for s in non_trivial if ExponentTriple(s["x"], s["y"], s["z"]).exceptional()
     ]
     return {
         "m_max": m_max,

@@ -36,7 +36,7 @@ from tripow.bounds import (
     ordering_predicates,
     two_log_instance,
 )
-from tripow.numerics import GaussianInt, RInterval, g_pow, val_p
+from tripow.numerics import GaussianInt, RInterval, g_pow
 from tripow.residues import jacobi, parity_engine, parity_feasible, quartic_symbol
 from tripow.search import (
     ExponentTriple,
@@ -162,12 +162,12 @@ def test_criterion_5_parity_engine():
     bad = []
     soundness_checks = 0
     for p in iter_pairs(120):
-        if val_p(p.even_member, 2) < 2:
-            continue
         v = parity_engine(p)
         if not v.applicable:
             continue
         applicable += 1
+        if p.even_member != p.m:
+            bad.append((p.m, p.n, "applicable with the even member n"))
         if not v.all_even or v.rule_ids != expected.get(v.case):
             bad.append((p.m, p.n, v.case, v.rule_ids))
             continue

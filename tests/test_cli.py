@@ -48,7 +48,10 @@ def test_verify_full_dossier(capsys):
     assert code == 0
     res = rep["results"]
     assert res["triple"] == {"a": 153, "b": 104, "c": 185}
-    assert res["engine"]["applicable"] and res["engine"]["case"] == "odd=5(8)"
+    assert res["engine"] == {
+        "applicable": False,
+        "note": "requires the even member to be m",
+    }
     assert res["profile"] == {"alpha": 2, "i": 1, "beta": 2, "j": 3, "e": 1}
     assert set(res["exclusions"]) == {
         "alpha_ge_2",
@@ -61,7 +64,7 @@ def test_verify_full_dossier(capsys):
 
 
 def test_verify_sieve_and_engine_share_rule(capsys):
-    code, rep, _ = run_json(capsys, "verify", "--m", "7", "--n", "4")
+    code, rep, _ = run_json(capsys, "verify", "--m", "12", "--n", "7")
     res = rep["results"]
     diff = [c for c in res["engine"]["constraints"] if c["rule"] == "diff-mod8-5-y-eq-z"]
     assert len(diff) == 1
@@ -77,6 +80,19 @@ def test_verify_rejects_bad_pair(capsys):
 def test_verify_requires_both_members(capsys):
     code, _, err = run(capsys, "verify", "--m", "9")
     assert code == 2 and "requires --n" in err
+
+
+def test_output_flag_belongs_to_scan_only(tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    for argv in (
+        ("verify", "--m", "13", "--n", "4", "--output", str(target)),
+        ("laurent", "--a2", "1100", "--bprime", "10", "--output", str(target)),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "--output" in capsys.readouterr().err
+    assert not target.exists()
 
 
 def test_text_format_has_header_and_timing(capsys):

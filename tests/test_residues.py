@@ -359,15 +359,15 @@ def test_parity_constraint_satisfaction():
 
 def test_engine_case_examples():
     expect = {
-        (4, 9): ("odd=1(8), even=4(8)", False,
+        (12, 1): ("odd=1(8), even=4(8)", False,
                  ("mod4-x-even", "quartic-chain-x-eq-y", "sum-mod8-5-y-eq-z")),
         (4, 3): ("odd=3(8), even=4(8)", False,
                  ("sum-mod8-7-y-even", "mod16-x-z-even")),
-        (4, 7): ("odd=7(8), even=4(8)", False,
+        (12, 7): ("odd=7(8), even=4(8)", False,
                  ("mod4-x-even", "sum-mod8-3-z-even", "diff-mod8-5-y-eq-z")),
         (8, 3): ("odd=3(8), even=0(8)", False,
                  ("mod4-x-even", "sum-mod8-3-z-even", "diff-mod8-5-y-eq-z")),
-        (13, 4): ("odd=5(8)", True,
+        (12, 5): ("odd=5(8)", True,
                   ("mod16-x-z-even", "power-split-y-even")),
     }
     for mn, (case, assumed, rules) in expect.items():
@@ -379,14 +379,23 @@ def test_engine_case_examples():
 
 
 def test_engine_inapplicable_cases():
-    for mn in [(8, 1), (8, 7)]:
+    # residue cases the engine does not cover, with the even member m
+    for mn in [(8, 1), (8, 7), (16, 9)]:
         v = parity_engine(new_pair(*mn))
         assert not v.applicable and not v.all_even
+        assert v.case is None and v.note is None
+    # the even member is n: declined before any rule is evaluated
+    for mn in [(7, 4), (13, 4)]:
+        v = parity_engine(new_pair(*mn))
+        assert not v.applicable and not v.all_even and not v.constraints
+        assert v.note == "requires the even member to be m"
 
 
 def test_engine_requires_divisibility_by_four():
-    with pytest.raises(ValueError, match="4"):
-        parity_engine(new_pair(2, 1))
+    for mn in [(2, 1), (6, 1), (7, 2)]:
+        v = parity_engine(new_pair(*mn))
+        assert not v.applicable and not v.constraints
+        assert v.note == "requires 4 | even member"
 
 
 def test_engine_constraints_always_allow_trivial_solution():
@@ -397,6 +406,73 @@ def test_engine_constraints_always_allow_trivial_solution():
             v = parity_engine(new_pair(m, n))
             for c in v.constraints:
                 assert c.satisfied_by(2, 2, 2), (m, n, c)
+
+
+def _orbit_by_parity(u: int, M: int) -> tuple[set[int], set[int]]:
+    """Residues of u^k mod M for even and for odd k >= 1; u a unit mod M."""
+    orbit = (set(), set())
+    v, k = 1, 0
+    while True:
+        v, k = v * u % M, k + 1
+        orbit[k % 2].add(v)
+        if v == 1 and k % 2 == 0:
+            return orbit
+
+
+def _parities(u: int, v: int, M: int, sign: int = 1) -> set[tuple[int, int]]:
+    """(k mod 2, l mod 2) for which u^k = sign * v^l (mod M) has a solution."""
+    U, V = _orbit_by_parity(u, M), _orbit_by_parity(v, M)
+    return {
+        (i, j)
+        for i in (0, 1)
+        for j in (0, 1)
+        if U[i] & {sign * w % M for w in V[j]}
+    }
+
+
+def test_engine_rules_sound_by_residue_exhaustion():
+    """Each engine rule holds on every parity vector its congruence admits.
+
+    The congruences are exhausted over the residue cycles of the stored
+    legs (a, b, c), with no engine code: mod 4 and mod 16 drop b^y
+    (8 | b and the rule's y >= 2), the Jacobi rules drop a^x modulo
+    q = m +- n, which divides a, and the quartic chain reads
+    a^x = -b^y modulo c, since Z[i]/(o - e i) = Z/c for coprime
+    generators.  power-split-y-even is not modular and must carry the
+    y > 1 assumption.
+    """
+    rng = random.Random(8)
+    wide = [p for p in iter_pairs(300) if p.m > 60 and p.even_member % 4 == 0]
+    pairs = [p for p in iter_pairs(60) if p.even_member % 4 == 0]
+    pairs += rng.sample(wide, 150)
+    checked = set()
+    for p in pairs:
+        v = parity_engine(p)
+        if not v.applicable:
+            continue
+        t = triple_of(p)
+        for c in v.constraints:
+            rule = c.source
+            if rule == "power-split-y-even":
+                assert v.assumed_y_gt_1, (p.m, p.n)
+                continue
+            if rule in ("mod4-x-even", "mod16-x-z-even"):
+                M = 4 if rule == "mod4-x-even" else 16
+                assert t.b * t.b % M == 0
+                vectors = {(x, 0, z) for x, z in _parities(t.a, t.c, M)}
+            elif rule.startswith(("sum-", "diff-")):
+                q = p.m + p.n if rule.startswith("sum-") else p.m - p.n
+                assert q >= 3 and t.a % q == 0, (p.m, p.n, rule)
+                vectors = {(0, y, z) for y, z in _parities(t.b, t.c, q)}
+            elif rule == "quartic-chain-x-eq-y":
+                vectors = {(x, y, 0) for x, y in _parities(t.a, t.b, t.c, sign=-1)}
+            else:
+                raise AssertionError(f"no residue check for rule {rule}")
+            for vec in vectors:
+                assert c.satisfied_by(*vec), (p.m, p.n, rule, c.note, vec)
+            checked.add(rule.split("-mod8-")[0])
+    assert checked == {"mod4-x-even", "mod16-x-z-even", "sum", "diff",
+                       "quartic-chain-x-eq-y"}, checked
 
 
 # -- power sum/difference split -------------------------------------------------
