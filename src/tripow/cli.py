@@ -77,6 +77,8 @@ class RunConfig:
             raise ValueError("format must be text or json")
         if self.theorem is not None and self.theorem not in THEOREM_FORMS:
             raise ValueError("theorem must be 1.2 or 1.3")
+        if self.output_path is not None and self.command != "scan":
+            raise ValueError("output_path applies only to scan")
 
 
 def _iv_json(v: RInterval) -> dict:

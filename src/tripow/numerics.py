@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+import functools
 import math
 
 import mpmath
@@ -27,6 +28,7 @@ from mpmath.libmp import (
     fzero,
     mpf_add,
     mpf_gt,
+    mpf_neg,
     mpf_pi,
     mpf_shift,
     mpi_add,
@@ -571,26 +573,39 @@ class RInterval:
         return RInterval._wrap(mpi_exp((fone, fone), precision), precision)
 
 
-# j per block of ln_superfactorial: each block costs two interval logs, and
-# its exact products grow as the block's square.  Timed at K from 13k to
-# 34k, 128 and 256 bits: 24 and 32 tie, 16 pays for more logs, 40 and 64
-# for the products.
+# j per block of ln_superfactorial's exact anchor: each block costs two
+# interval logs, and its exact products grow as the block's square.  Timed
+# at K from 13k to 34k, 128 and 256 bits, when every j was summed this way:
+# 24 and 32 tie, 16 pays for more logs, 40 and 64 for the products.
 SUPERFACTORIAL_BLOCK = 32
 
 
-def ln_superfactorial(n: int, precision: int) -> RInterval:
-    """Enclosure of sum_{k=1}^{n} ln(k!) = sum_{j=2}^{n} (n + 1 - j) ln j.
+def superfactorial_anchor(precision: int) -> int:
+    """n0, the last j that ln_superfactorial sums exactly at this precision.
 
-    The j run in blocks of SUPERFACTORIAL_BLOCK.  A block ending at ``end``
-    adds (n + 1 - end) ln P + ln Q, where P = prod j and Q = prod j^(end - j)
-    are exact integers, so it costs two outward-rounded logs instead of one
-    per j.  n <= 1 gives an exact 0.
+    The Euler-Maclaurin terms from a = n0 + 1 shrink while 2k < 2 pi a and
+    bottom out near exp(-2 pi a), about 2^(-9a); a > precision / 2 leaves
+    more than four times the bits asked for.  The floor of 64 keeps the
+    term count low at small precisions.
     """
-    if n < 0:
-        raise ValueError("requires n >= 0")
+    return max(64, precision // 2)
+
+
+@functools.cache
+def _bernoulli(k: int) -> Fraction:
+    """B_k, with B_1 = -1/2, by the recurrence sum_{j<=k} C(k+1, j) B_j = 0."""
+    if k < 2:
+        return Fraction(1) if k == 0 else Fraction(-1, 2)
+    if k % 2:
+        return Fraction(0)
+    return -sum(math.comb(k + 1, j) * _bernoulli(j) for j in range(k)) / (k + 1)
+
+
+def _weighted_log_blocks(n: int, last: int, precision: int) -> tuple:
+    """Enclosure of sum_{j=1}^{last} (n + 1 - j) ln j, two logs per block."""
     total = (fzero, fzero)
-    for start in range(1, n + 1, SUPERFACTORIAL_BLOCK):
-        end = min(start + SUPERFACTORIAL_BLOCK - 1, n)
+    for start in range(1, last + 1, SUPERFACTORIAL_BLOCK):
+        end = min(start + SUPERFACTORIAL_BLOCK - 1, last)
         p = q = 1
         for j in range(start, end):
             p *= j
@@ -601,4 +616,91 @@ def ln_superfactorial(n: int, precision: int) -> RInterval:
         )
         block = mpi_add(weighted, mpi_log(_int_mpi(q, precision), precision), precision)
         total = mpi_add(total, block, precision)
+    return total
+
+
+def _euler_maclaurin_tail(n: int, a: int, precision: int) -> tuple:
+    """Enclosure of sum_{j=a}^{n} (n + 1 - j) ln j for 2 <= a <= n.
+
+    See ln_superfactorial.  Everything is carried times 12, so the ln a and
+    ln b coefficients are integers.
+    """
+    b, c = n, n + 1
+
+    def odd_derivative_term(k, x):
+        # B_2k / (2k)! * g^(2k-1)(x), times 12, for k >= 2
+        return 12 * _bernoulli(2 * k) * (c * (2 * k - 2) + x) / (
+            2 * k * (2 * k - 1) * (2 * k - 2) * x ** (2 * k - 1)
+        )
+
+    # 12 [int_a^b g + (g(a) + g(b))/2 + B_2/2! (g'(b) - g'(a))], with
+    # int g = ln x (c x - x^2/2) - c x + x^2/4 and g'(x) = -ln x + c/x - 1
+    coef_a = 6 * a * a - 12 * c * a + 6 * (c - a) + 1
+    coef_b = 12 * c * b - 6 * b * b + 6 * (c - b) - 1
+    rational = 3 * (b * b - a * a) - 12 * c * (b - a) + Fraction(c, b) - Fraction(c, a)
+    target = Fraction(12 * n * n, 1 << precision)
+    previous = None
+    k = 2
+    while True:
+        term = odd_derivative_term(k, b) - odd_derivative_term(k, a)
+        # |R_k| <= 2 |B_2k| / (2k)! |g^(2k-1)(b) - g^(2k-1)(a)| = 2 |term|
+        radius = 2 * abs(term)
+        if radius <= target:
+            break
+        if previous is not None and abs(term) >= previous:
+            raise ValueError(
+                f"Euler-Maclaurin terms for n = {n} from a = {a} stop shrinking "
+                f"before {precision} bits"
+            )
+        rational += term
+        previous = abs(term)
+        k += 1
+    p = precision
+    logs = mpi_add(
+        mpi_mul(_int_mpi(coef_a, p), mpi_log(_int_mpi(a, p), p), p),
+        mpi_mul(_int_mpi(coef_b, p), mpi_log(_int_mpi(b, p), p), p),
+        p,
+    )
+    r = _to_mpi(radius, p)[1]
+    total = mpi_add(mpi_add(logs, _to_mpi(rational, p), p), (mpf_neg(r), r), p)
+    return mpi_div(total, _int_mpi(12, p), p)
+
+
+def ln_superfactorial(n: int, precision: int) -> RInterval:
+    """Enclosure of sum_{k=1}^{n} ln(k!) = sum_{j=2}^{n} (n + 1 - j) ln j.
+
+    An exact anchor plus an analytic tail, so the cost does not grow with n.
+
+    Anchor: j <= n0 = superfactorial_anchor(precision) run in blocks of
+    SUPERFACTORIAL_BLOCK.  A block ending at ``end`` adds
+    (n + 1 - end) ln P + ln Q, where P = prod j and Q = prod j^(end - j)
+    are exact integers, so it costs two outward-rounded logs.
+
+    Tail: j from a = n0 + 1 to b = n, by the Euler-Maclaurin formula
+    (DLMF 2.10.1) for g(x) = (n + 1 - x) ln x:
+
+        sum_{j=a}^{b} g(j) = int_a^b g + (g(a) + g(b)) / 2
+            + sum_{k=1}^{m-1} B_2k / (2k)! (g^(2k-1)(b) - g^(2k-1)(a)) + R_m.
+
+    Every term but ln a and ln b is an exact rational in n, a and b, so the
+    tail costs two interval logs.  For k >= 2,
+    g^(k)(x) = (-1)^(k-1) [(n + 1) (k-1)! / x^k + (k-2)! / x^(k-1)], which
+    has one sign on x > 0.  As the periodic Bernoulli function never
+    exceeds |B_2m| in absolute value (DLMF 24.9), that one sign gives
+
+        |R_m| <= 2 |B_2m| / (2m)! |g^(2m-1)(b) - g^(2m-1)(a)|,
+
+    twice the first omitted term; it is added as an exact rational radius.
+    m is the first k >= 2 whose radius is at most n^2 / 2^precision, about
+    the rounding of the sum itself.  If the terms stop shrinking first, a
+    ValueError is raised rather than a wider enclosure returned.
+
+    n <= n0 leaves the tail empty, and n <= 1 gives an exact 0.
+    """
+    if n < 0:
+        raise ValueError("requires n >= 0")
+    n0 = superfactorial_anchor(precision)
+    total = _weighted_log_blocks(n, min(n, n0), precision)
+    if n > n0:
+        total = mpi_add(total, _euler_maclaurin_tail(n, n0 + 1, precision), precision)
     return RInterval._wrap(total, precision)

@@ -11,7 +11,6 @@ on overlapping ranges.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 import math
 
@@ -177,6 +176,10 @@ def scan_range(m_max: int, cap: int, jobs: int = 1) -> dict:
     work = [((m, n), cap) for (m, n) in pairs]
     workers = min(jobs, len(work) * cap // _STEPS_PER_WORKER)
     if workers > 1:
+        # imported here: the process pool's modules take about 2 MB, and
+        # most sweeps run in-process
+        from concurrent.futures import ProcessPoolExecutor
+
         # about eight chunks per worker: few round trips, still balanced
         chunk = -(-len(work) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -328,6 +328,24 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert code == 2 and "unknown key" in err
 
 
+def test_config_output_path_belongs_to_scan_only(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"output_path = {target}\n")
+    for argv in (
+        ("verify", "--m", "13", "--n", "4"),
+        ("threshold", "--theorem", "1.3"),
+        ("laurent", "--a2", "1100", "--bprime", "10"),
+    ):
+        code, out, err = run(capsys, "--config", str(cfg), *argv, "--format", "json")
+        assert code == 2 and out == ""
+        assert "output_path applies only to scan" in err
+        assert not target.exists()
+    code, _, _ = run(capsys, "--config", str(cfg), "scan", "--m-max", "6", "--cap", "10")
+    assert code == 0
+    assert target.read_text().splitlines()[1] == "2,1,3,4,5,2,2,2,True"
+
+
 def test_config_file_missing(capsys):
     code, _, err = run(capsys, "--config", "/nonexistent.cfg", "verify",
                        "--m", "2", "--n", "1")

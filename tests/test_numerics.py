@@ -1,5 +1,6 @@
 """Exact integer helpers, Gaussian arithmetic, and interval containment."""
 
+import functools
 import math
 import random
 import sys
@@ -35,8 +36,10 @@ from tripow.numerics import (
     ln_superfactorial,
     perfect_power_exponent,
     primes_up_to,
+    superfactorial_anchor,
     val_p,
 )
+from tripow import numerics
 
 
 # -- oracles -----------------------------------------------------------------
@@ -385,3 +388,43 @@ def test_ln_superfactorial_no_wider_than_per_term_sum():
     iv = ln_superfactorial(n, precision)
     assert iv.lo <= per_term.hi and per_term.lo <= iv.hi
     assert iv.width <= per_term.width
+
+
+@functools.cache
+def _barnes_g_reference(n):
+    """ln G(n + 2) = sum_{k=1}^{n} ln k!, from mpmath's Barnes G at 800 bits.
+
+    800 rather than 400 bits: a 512-bit enclosure is about 2^-490 wide,
+    finer than a 400-bit value of a sum near 5e9 can resolve.
+    """
+    with mpmath.workprec(800):
+        return mpmath.log(mpmath.barnesg(n + 2))
+
+
+@pytest.mark.parametrize("precision", [64, 96, 128, 192, 256, 512])
+def test_ln_superfactorial_contains_barnes_g_across_the_anchor(precision):
+    n0 = superfactorial_anchor(precision)
+    for n in (n0 - 1, n0, n0 + 1, 12999, 22677, 33551):
+        iv = ln_superfactorial(n, precision)
+        assert iv.precision == precision
+        assert iv.lo <= _barnes_g_reference(n) <= iv.hi, n
+
+
+@pytest.mark.parametrize("precision", [64, 128, 256])
+def test_ln_superfactorial_no_wider_than_block_sum(precision):
+    # n = K - 1 for the benchmark's three laurent strata
+    for n in (13245, 24429, 33551):
+        block_sum = RInterval._wrap(numerics._weighted_log_blocks(n, n, precision), precision)
+        assert ln_superfactorial(n, precision).width <= block_sum.width
+
+
+def test_ln_superfactorial_refuses_to_widen(monkeypatch):
+    # from a = 2 the Euler-Maclaurin terms grow long before 2^-64
+    monkeypatch.setattr(numerics, "superfactorial_anchor", lambda precision: 1)
+    with pytest.raises(ValueError, match="stop shrinking"):
+        ln_superfactorial(1000, 64)
+
+
+def test_bernoulli_numbers_match_mpmath():
+    for k in range(61):
+        assert numerics._bernoulli(k) == Fraction(*mpmath.bernfrac(k))

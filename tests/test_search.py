@@ -1,6 +1,7 @@
 """Both solver routes against each other and a brute oracle, plus the
 Gaussian k, l structure checks."""
 
+import concurrent.futures
 import math
 import random
 from itertools import product
@@ -159,20 +160,20 @@ def test_small_sweep_starts_no_workers(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("worker pool started for a small sweep")
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     assert scan_range(15, 10, jobs=2) == scan_range(15, 10, jobs=1)
 
 
 def test_scan_range_workers_match_in_process(monkeypatch):
     started = []
-    real_pool = search.ProcessPoolExecutor
+    real_pool = concurrent.futures.ProcessPoolExecutor
 
     def counting_pool(max_workers):
         started.append(max_workers)
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(search, "_STEPS_PER_WORKER", 1)
-    monkeypatch.setattr(search, "ProcessPoolExecutor", counting_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counting_pool)
     assert scan_range(15, 10, jobs=2) == scan_range(15, 10, jobs=1)
     assert started == [2]
 

@@ -1,0 +1,54 @@
+"""The benchmark's span tracer still finds every name it wraps.
+
+``perfbench/tracing.py`` patches tripow from outside, by name: module
+functions, ``LaurentInstance.ln_b`` and ``RInterval``'s operator methods,
+and its ln_b hook reads the instance's ``K``.  A renamed or removed name
+makes a traced benchmark run crash.  The tracer is loaded here from its
+file, unchanged, and three CLI calls run through it.
+"""
+
+import contextlib
+import importlib.util
+import io
+from pathlib import Path
+
+from tripow import cli
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+ARGV = (
+    ["laurent", "--a2", "1100", "--bprime", "10", "--format", "json"],
+    ["threshold", "--theorem", "1.3", "--format", "json"],
+    ["verify", "--m", "13", "--n", "4", "--format", "json"],
+)
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run(main, argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_traced_calls_match_untraced_and_record_ln_b():
+    tracing = _load_tracing()
+    untraced = [_run(cli.main, argv) for argv in ARGV]
+    tracer = tracing.Tracer()
+    call = tracer.traced(cli.main)
+    try:
+        tracer.install()
+        traced = [_run(call, argv) for argv in ARGV]
+    finally:
+        tracer.uninstall()
+    assert tracing.installed_wrappers() == []
+    assert [code for code, _ in untraced] == [0, 0, 0]
+    assert traced == untraced
+    ln_b = tracer.names.index("bounds.ln_b")
+    assert any(span[0] == ln_b for span in tracer.spans)
