@@ -557,22 +557,21 @@ class ThresholdCert:
     precision: int = THRESHOLD_PRECISION
 
 
-def _tail_certified(form: Fraction, w_t: Fraction, precision: int) -> bool:
-    """Certify t^form > RHS(t) for all t with ln(t + ln 2) >= w_t.
+def _tail_start(form: Fraction, precision: int) -> Fraction | None:
+    """First w in 10, 10.5, ..., 60 with t^form > RHS(t) certified for
+    every t with ln(t + ln 2) >= w, or None.
 
     Writes w = ln ln(2m).  The squared-log terms of the RHS are bounded
     by 8.3 (w + 2.2)^2 (three coefficient comparisons, checked as
-    intervals); every remaining term carries a factor e^-w and is
-    monotone decreasing for w >= 10, so its value at w_t bounds the
-    tail.  The left side loses at most a (1 - 2 ln2 e^-w) factor when
-    moving from ln t to w.  What remains is h(w) = form*w - ln(C/factor)
-    - 2 ln(w + 2.2) > 0, which is increasing in w; one interval check at
-    w_t finishes the argument.
+    intervals once, since they do not involve w); every remaining term
+    carries a factor e^-w and is monotone decreasing for w >= 10, so its
+    value at the tail start bounds the tail.  The left side loses at most
+    a (1 - 2 ln2 e^-w) factor when moving from ln t to w.  What remains
+    is h(w) = form*w - ln(C/factor) - 2 ln(w + 2.2) > 0, which is
+    increasing in w; one interval check at the tail start finishes the
+    argument.
     """
     prec = precision
-    if w_t < 10:
-        return False
-    w = RInterval(w_t, precision=prec)
     ln2 = RInterval(2, precision=prec).ln()
     c_a = RInterval(RHS_LEAD, precision=prec)
     c_b = RInterval(RHS_SQ_COEFF, precision=prec)
@@ -581,35 +580,41 @@ def _tail_certified(form: Fraction, w_t: Fraction, precision: int) -> bool:
     slope = RInterval(L_SLOPE, precision=prec)
     lp_const = RInterval(RHS_L_SHIFT, precision=prec)
     g_shift = RInterval(RHS_G_SHIFT, precision=prec)
+    c_l = RInterval(RHS_L_COEFF, precision=prec)
+    c_log = RInterval(RHS_LOG_COEFF, precision=prec)
+    form_iv = RInterval(form, precision=prec)
 
     # coefficient comparisons: 7.482 (w+2.139)^2 + 0.7 L'(w)^2 <= 8.3 (w+2.2)^2
     cw2 = c_a + c_b * slope * slope
     cw1 = 2 * (c_a * g_shift + c_b * slope * lp_const)
     cw0 = c_a * g_shift * g_shift + c_b * lp_const * lp_const
-    if not cw2.strictly_less(c_sq):
-        return False
-    if not cw1.strictly_less(2 * c_sq * c_shift):
-        return False
-    if not cw0.strictly_less(c_sq * c_shift * c_shift):
-        return False
+    if not (
+        cw2.strictly_less(c_sq)
+        and cw1.strictly_less(2 * c_sq * c_shift)
+        and cw0.strictly_less(c_sq * c_shift * c_shift)
+    ):
+        return None
 
-    expw = (-w).exp()
-    inv_t = 1 / (1 - ln2 * expw)
-    if not inv_t.strictly_positive():
-        return False
-    Lp = slope * w + lp_const
-    k1 = c_a * RHS_SHIFT * (w + g_shift) ** 2 * expw
-    k2 = RInterval(RHS_L_COEFF, precision=prec) * Lp * inv_t * expw
-    k3 = (RInterval(RHS_LOG_COEFF, precision=prec) * Lp).ln() * inv_t * expw
-    k4 = c_b * RHS_SHIFT * inv_t * Lp * Lp * expw
-    ktail = k1 + k2 + k3 + k4
-    C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
-    factor = 1 - 2 * ln2 * expw
-    if not factor.strictly_positive():
-        return False
-    h = RInterval(form, precision=prec) * w - (C / factor).ln() - 2 * (w + c_shift).ln()
-    h_slope = RInterval(form, precision=prec) - 2 / (w + c_shift)
-    return h.strictly_positive() and h_slope.strictly_positive()
+    w_t = Fraction(10)
+    while w_t <= 60:
+        w = RInterval(w_t, precision=prec)
+        expw = (-w).exp()
+        inv_t = 1 / (1 - ln2 * expw)
+        factor = 1 - 2 * ln2 * expw
+        if inv_t.strictly_positive() and factor.strictly_positive():
+            Lp = slope * w + lp_const
+            k1 = c_a * RHS_SHIFT * (w + g_shift) ** 2 * expw
+            k2 = c_l * Lp * inv_t * expw
+            k3 = (c_log * Lp).ln() * inv_t * expw
+            k4 = c_b * RHS_SHIFT * inv_t * Lp * Lp * expw
+            ktail = k1 + k2 + k3 + k4
+            C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
+            h = form_iv * w - (C / factor).ln() - 2 * (w + c_shift).ln()
+            h_slope = form_iv - 2 / (w + c_shift)
+            if h.strictly_positive() and h_slope.strictly_positive():
+                return w_t
+        w_t += Fraction(1, 2)
+    return None
 
 
 def certify_threshold(
@@ -622,7 +627,7 @@ def certify_threshold(
 
     Strict interval comparison at t0, then interval positivity of the
     derivative of t^form - RHS(t) along a geometric grid up to the tail
-    start, then the analytic tail of _tail_certified.
+    start, then the analytic tail of _tail_start.
     """
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
@@ -635,13 +640,7 @@ def certify_threshold(
         cert.failing_point = float(t0_iv.mid)
         return cert
 
-    w_tail = None
-    w = Fraction(10)
-    while w <= 60:
-        if _tail_certified(form, w, precision):
-            w_tail = w
-            break
-        w += Fraction(1, 2)
+    w_tail = _tail_start(form, precision)
     if w_tail is None:
         cert.failing_point = float(t0_iv.mid)
         return cert
@@ -672,8 +671,68 @@ def certify_threshold(
     return cert
 
 
+CROSSOVER_START = 1100
+
+
+def _locate_crossover(form: Fraction) -> float:
+    """Float estimate of the t > 1000 where t^form meets the corrected RHS.
+
+    Illinois (bracketed secant) on g(u) = form*u - ln RHS(e^u) over
+    u in [ln 1100, ln(1100 * 2^80)].  RHS comes from threshold_rhs at 53
+    bits, so the formula has one source; g is nearly linear in u, so a
+    handful of steps reach a relative error far below one grid cell.
+    """
+    q = float(form)
+
+    def g(u: float) -> float:
+        return q * u - math.log(float(threshold_rhs(math.exp(u), True, 53).mid))
+
+    a, b = math.log(CROSSOVER_START), math.log(CROSSOVER_START) + 80 * math.log(2)
+    ga, gb = g(a), g(b)
+    if ga >= 0:
+        raise AssertionError("expected the RHS to dominate at t = 1100")
+    if gb <= 0:
+        raise AssertionError("no sign change located")
+    side = 0
+    while b - a > 1e-12 * b:
+        c = b - gb * (b - a) / (gb - ga)
+        gc = g(c)
+        # g' is close to form, so |g| / form bounds the error in u = ln t
+        if abs(gc) < 1e-10:
+            return math.exp(c)
+        if gc < 0:
+            a, ga = c, gc
+            if side < 0:
+                gb /= 2
+            side = -1
+        else:
+            b, gb = c, gc
+            if side > 0:
+                ga /= 2
+            side = 1
+    return math.exp((a + b) / 2)
+
+
 def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
-    """Bracket the unique t > 1000 where t^form meets the corrected RHS."""
+    """Bracket the unique t > 1000 where t^form meets the corrected RHS.
+
+    Assumes, as every caller does, that t^form - RHS(t) changes sign once
+    for t > 1000: negative below the root, positive above it.
+
+    The bracket is a cell of a fixed grid.  k is the least integer with
+    t^form > RHS(t) certified at t = 1100 * 2^k; W = 1100 (2^k - 1); r is
+    the least integer with W / 2^r <= 1 and w = W / 2^r.  The bracket is
+    [1100 + j w, 1100 + (j + 1) w] for the cell j that holds the root:
+    the cell that bisecting [1100, 1100 * 2^k] down to width <= 1 ends on.
+
+    The root is first located in floats (_locate_crossover), which picks
+    k and j.  Then three signs are certified at the requested precision:
+    negative at 1100 * 2^(k-1), negative at the cell's lower end and
+    positive at its upper end.  An endpoint with the wrong sign moves the
+    cell, or k, by one and is certified again.  A sign that the interval
+    cannot decide raises ValueError: the bracket is never widened or
+    moved off the grid to get past it.
+    """
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
@@ -686,26 +745,25 @@ def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
             return 1
         if lhs.strictly_less(rhs):
             return -1
-        return 0
+        raise ValueError("crossover undecided at this precision; raise precision")
 
-    lo = Fraction(1100)
-    if sign_at(lo) >= 0:
-        raise AssertionError("expected the RHS to dominate at t = 1100")
-    hi = lo
-    while sign_at(hi) <= 0:
-        hi *= 2
-        if hi > 2**80:
-            raise AssertionError("no sign change located")
-    while hi - lo > 1:
-        mid = (lo + hi) / 2
-        s = sign_at(mid)
-        if s == 0:
-            mid += (hi - lo) / 128
-            s = sign_at(mid)
-            if s == 0:
-                break
-        if s < 0:
-            lo = mid
-        else:
-            hi = mid
-    return RInterval(lo, hi, precision=precision)
+    start = CROSSOVER_START
+    t_est = _locate_crossover(form)
+    k = max(1, math.ceil(math.log2(t_est / start)))
+    while True:
+        if sign_at(Fraction(start * 2 ** (k - 1))) > 0:
+            k -= 1
+            continue
+        span = start * (2**k - 1)
+        cells = 1 << (span - 1).bit_length()
+        width = Fraction(span, cells)
+        j = min(max(math.floor((t_est - start) / width), 0), cells - 1)
+        while j < cells:
+            lo = start + j * width
+            if sign_at(lo) > 0:
+                j -= 1
+            elif sign_at(lo + width) > 0:
+                return RInterval(lo, lo + width, precision=precision)
+            else:
+                j += 1
+        k += 1

@@ -7,7 +7,9 @@ from fractions import Fraction
 import mpmath
 import pytest
 
+from tripow import bounds, cli
 from tripow.bounds import (
+    THEOREM_FORMS,
     DeltaBounds,
     HypothesisError,
     KAPPA,
@@ -470,3 +472,91 @@ def test_crossover_brackets():
 def test_crossover_rejects_other_forms():
     with pytest.raises(ValueError):
         crossover(Fraction(1, 2))
+
+
+def _crossover_by_bisection(form, precision: int = 256) -> RInterval:
+    """The reference route: doubling from t = 1100, then bisection."""
+    form = Fraction(form)
+    if form not in THEOREM_FORMS.values():
+        raise ValueError("form must be 3/5 or 2/3")
+
+    def sign_at(t: Fraction) -> int:
+        x = RInterval(t, precision=precision)
+        lhs = x.pow_frac(form)
+        rhs = threshold_rhs(x, True, precision)
+        if rhs.strictly_less(lhs):
+            return 1
+        if lhs.strictly_less(rhs):
+            return -1
+        return 0
+
+    lo = Fraction(1100)
+    if sign_at(lo) >= 0:
+        raise AssertionError("expected the RHS to dominate at t = 1100")
+    hi = lo
+    while sign_at(hi) <= 0:
+        hi *= 2
+        if hi > 2**80:
+            raise AssertionError("no sign change located")
+    while hi - lo > 1:
+        mid = (lo + hi) / 2
+        s = sign_at(mid)
+        if s == 0:
+            mid += (hi - lo) / 128
+            s = sign_at(mid)
+            if s == 0:
+                break
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return RInterval(lo, hi, precision=precision)
+
+
+def exact_ends(iv: RInterval) -> tuple[Fraction, Fraction]:
+    return bounds._exact(iv.lo), bounds._exact(iv.hi)
+
+
+CROSSOVER_PRECISIONS = (64, 96, 128, 192, 256, 384, 512)
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", CROSSOVER_PRECISIONS)
+def test_crossover_matches_bisection(form, precision):
+    assert exact_ends(crossover(form, precision)) == exact_ends(
+        _crossover_by_bisection(form, precision)
+    )
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", (64, 256))
+def test_crossover_bracket_signs_certified(form, precision):
+    lo, hi = exact_ends(crossover(form, precision))
+    assert 0 < hi - lo <= 1
+    for t, below in ((lo, True), (hi, False)):
+        x = RInterval(t, precision=precision)
+        lhs, rhs = x.pow_frac(form), threshold_rhs(x, True, precision)
+        assert (lhs.strictly_less(rhs) if below else rhs.strictly_less(lhs))
+        # and the mpmath oracle agrees on the side
+        with mpmath.workdps(60):
+            q = mpmath.mpf(form.numerator) / form.denominator
+            t_mp = mpmath.mpf(t.numerator) / t.denominator
+            assert (t_mp**q < rhs_oracle(t_mp)) == below
+
+
+def test_crossover_never_nudges(monkeypatch, capsys):
+    # widen the RHS at the bracket's upper end, where the bisection also lands
+    _, hi = exact_ends(_crossover_by_bisection(Fraction(3, 5), 256))
+    real = bounds.threshold_rhs
+
+    def blurred(t, with_correction=True, precision=256):
+        out = real(t, with_correction, precision)
+        if isinstance(t, RInterval) and t.contains(hi):
+            out = out + RInterval(-1, 1, precision=out.precision)
+        return out
+
+    monkeypatch.setattr(bounds, "threshold_rhs", blurred)
+    with pytest.raises(ValueError, match="precision"):
+        crossover(Fraction(3, 5), 256)
+    assert cli.main(["threshold", "--theorem", "1.2", "--format", "json"]) == 2
+    assert "precision" in capsys.readouterr().err

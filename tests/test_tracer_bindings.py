@@ -52,3 +52,11 @@ def test_traced_calls_match_untraced_and_record_ln_b():
     assert traced == untraced
     ln_b = tracer.names.index("bounds.ln_b")
     assert any(span[0] == ln_b for span in tracer.spans)
+    # crossover calls threshold_rhs through the module global, so the tracer sees it
+    crossover = tracer.names.index("bounds.crossover")
+    rhs = tracer.names.index("bounds.threshold_rhs")
+    assert any(
+        span[0] == rhs and tracer.spans[span[3]][0] == crossover
+        for span in tracer.spans
+        if span[3] >= 0
+    )
