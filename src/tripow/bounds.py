@@ -1,5 +1,5 @@
 """Certified analytic bounds: exponent ordering, two-logarithm lower
-bounds, exponent-gap estimates, and threshold certification.
+bounds, and threshold certification.
 
 All real arithmetic here runs through RInterval, so every "<" reported
 by this module is an interval-certified strict inequality.  The heavy
@@ -32,7 +32,6 @@ __all__ = [
     "HypothesisError",
     "y_upper_bound",
     "ordering_predicates",
-    "exponent_gap_lower",
     "laurent_epsilon",
     "laurent_epsilon_majorant",
     "LaurentInstance",
@@ -41,9 +40,6 @@ __all__ = [
     "two_log_instance",
     "TwoLogBound",
     "two_log_lower_bound",
-    "exponent_gap_upper",
-    "DeltaBounds",
-    "exponent_gap_bounds",
     "threshold_rhs",
     "ThresholdCert",
     "THEOREM_FORMS",
@@ -86,7 +82,7 @@ class HypothesisError(ValueError):
 
 
 def rho_log(precision: int = DEFAULT_PRECISION) -> RInterval:
-    return RInterval(Fraction(31, 10), precision=precision)
+    return RInterval(RHO_LOG, precision=precision)
 
 
 def alpha1_constant(precision: int = DEFAULT_PRECISION) -> RInterval:
@@ -167,16 +163,6 @@ def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> d
         "excluded": bool(failures),
         "failures": failures,
     }
-
-
-def exponent_gap_lower(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
-    """Enclosure of ln m / ln n, a strict lower bound for z - x."""
-    if p.n < 2:
-        raise ValueError("requires n >= 2")
-    return (
-        RInterval(p.m, precision=precision).ln()
-        / RInterval(p.n, precision=precision).ln()
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -439,49 +425,6 @@ def two_log_lower_bound(
         - (RInterval(2, precision=precision) + c3 * L * a2_iv).ln()
     )
     return TwoLogBound(bound, L, L_floored=raw < 3)
-
-
-# ---------------------------------------------------------------------------
-# Exponent gap Delta = z - x
-
-
-def exponent_gap_upper(
-    p: PrimPair, z: int, precision: int = DEFAULT_PRECISION
-) -> RInterval:
-    """Transcendence upper bound for z - x from the two-logarithm bound.
-
-    Uses a2 = ln c + a1 and bprime = z (1/69.73 + 1/a2); requires
-    ln c >= 1000 so the corollary's hypotheses hold.
-    """
-    if z < 2:
-        raise ValueError("requires z >= 2")
-    c = p.m * p.m + p.n * p.n
-    ln_c = RInterval(c, precision=precision).ln()
-    if not ln_c.lo >= 1000:
-        raise HypothesisError("ln c >= 1000", "two-logarithm bound inapplicable")
-    a2 = ln_c + alpha1_constant(precision)
-    bprime = z * (
-        1 / RInterval(Fraction(6973, 100), precision=precision) + 1 / a2
-    )
-    res = two_log_lower_bound(a2, bprime, precision)
-    ln_pi = RInterval.pi(precision).ln()
-    return 2 * (-res.log_lambda_lower + ln_pi) / ln_c
-
-
-@dataclass(frozen=True)
-class DeltaBounds:
-    lower: RInterval
-    upper: RInterval
-    consistent: bool
-
-
-def exponent_gap_bounds(
-    p: PrimPair, z: int, precision: int = DEFAULT_PRECISION
-) -> DeltaBounds:
-    """Squeeze on Delta = z - x; certified inconsistency excludes the pair."""
-    lower = exponent_gap_lower(p, precision)
-    upper = exponent_gap_upper(p, z, precision)
-    return DeltaBounds(lower, upper, consistent=not upper.strictly_less(lower))
 
 
 # ---------------------------------------------------------------------------

@@ -197,15 +197,24 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
     return report, (0 if not res["non_trivial"] else 1)
 
 
+def _parse_fraction(text: str) -> Fraction:
+    """An exact rational such as '1100', '0.06' or '3/2'; a zero
+    denominator is invalid input, not a failed certificate."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def _parse_magnitude(s: str, precision: int) -> RInterval:
     """ln of a positive decimal like '1e109948' or '250000', as an interval."""
     text = s.strip().lower()
     if "e" in text:
         mant_s, _, exp_s = text.partition("e")
-        mant = Fraction(mant_s) if mant_s else Fraction(1)
+        mant = _parse_fraction(mant_s) if mant_s else Fraction(1)
         exp10 = int(exp_s)
     else:
-        mant, exp10 = Fraction(text), 0
+        mant, exp10 = _parse_fraction(text), 0
     if mant <= 0:
         raise ValueError("magnitude must be positive")
     ln10 = RInterval(10, precision=precision).ln()
@@ -280,8 +289,8 @@ def cmd_laurent(config: RunConfig) -> tuple[dict, int]:
     if config.a2 is None or config.bprime is None:
         raise ValueError("laurent requires --a2 and --bprime")
     prec = config.precision_bits
-    a2 = Fraction(config.a2)
-    bprime = Fraction(config.bprime)
+    a2 = _parse_fraction(config.a2)
+    bprime = _parse_fraction(config.bprime)
     report = _new_report(
         config,
         {"a2": config.a2, "bprime": config.bprime, "precision_bits": prec},

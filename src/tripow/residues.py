@@ -11,7 +11,6 @@ rule chain and whether the y > 1 hypothesis was consumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import math
 
 from .numerics import (
     GaussianInt,
@@ -21,10 +20,7 @@ from .numerics import (
     g_divides,
     g_divexact,
     g_powmod,
-    g_pow,
-    integer_nth_root,
     is_prime,
-    primes_up_to,
     val_p,
 )
 from .triples import PrimPair, triple_of
@@ -32,15 +28,11 @@ from .triples import PrimPair, triple_of
 __all__ = [
     "jacobi",
     "QuarticValue",
-    "primary_associate",
-    "is_primary",
     "quartic_symbol",
     "ParityConstraint",
     "ParityVerdict",
     "quadratic_sieve",
     "parity_feasible",
-    "power_sum_diff_split",
-    "sum_of_powers_prime_residues",
     "parity_engine",
 ]
 
@@ -99,27 +91,6 @@ class QuarticValue:
 
     def __str__(self):
         return ("1", "i", "-1", "-i")[self.k]
-
-
-def is_primary(g: GaussianInt) -> bool:
-    """Primary: odd and congruent to 1 mod (1+i)^3."""
-    if g.norm() % 2 == 0:
-        return False
-    return (g.re % 4, g.im % 4) in ((1, 0), (3, 2))
-
-
-def primary_associate(g: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
-    """The unique primary associate of an odd Gaussian integer.
-
-    Returns (primary, unit) with primary == unit * g.
-    """
-    if g.norm() % 2 == 0:
-        raise ValueError("primary form requires odd norm")
-    for unit in UNITS:
-        h = unit * g
-        if is_primary(h):
-            return h, unit
-    raise AssertionError("odd Gaussian integer must have a primary associate")
 
 
 def _sqrt_minus_one(p: int) -> int:
@@ -358,66 +329,6 @@ def parity_feasible(a_res: int, c_res: int, M: int) -> set[tuple[str, str]]:
         for px in ("even", "odd")
         for pz in ("even", "odd")
         if A[px] & C[pz]
-    }
-
-
-def power_sum_diff_split(p: PrimPair, X: int, Z: int, y: int):
-    """D = c^Z + a^X, E = c^Z - a^X with divisibility diagnostics.
-
-    When D*E is exactly b^y and the even generator's structure allows it,
-    also returns the two-and-odd-part decomposition of the pair hidden in
-    E = 2 (m1 n1)^y: m = 2^alpha m1 m2, n = n1 n2, with residues mod 8.
-    """
-    if X % 2 == 0 or Z % 2 == 0:
-        raise ValueError("requires odd X and Z")
-    if y < 1:
-        raise ValueError("y must be positive")
-    t = triple_of(p)
-    a, b, c = t.a, t.b, t.c
-    D = c**Z + a**X
-    E = c**Z - a**X
-    diagnostics = {
-        "gcd_DE": math.gcd(D, E),
-        "E_mod_4": E % 4,
-        "val2_D": val_p(D, 2),
-        "val2_E": val_p(E, 2),
-        "product_is_b_pow_y": D * E == b**y,
-        "decomposition": None,
-    }
-    ev, od = p.even_member, p.odd_member
-    if diagnostics["product_is_b_pow_y"] and E % 4 == 2 and p.m % 2 == 0:
-        alpha = val_p(ev, 2)
-        ev_odd = ev >> alpha
-        u, exact = integer_nth_root(E // 2, y)
-        if exact and u % 2 == 1:
-            m1 = math.gcd(u, ev_odd)
-            n1 = u // m1
-            if ev_odd % m1 == 0 and od % n1 == 0:
-                diagnostics["decomposition"] = {
-                    "m1": m1,
-                    "n1": n1,
-                    "m2": ev_odd // m1,
-                    "n2": od // n1,
-                    "m1_mod_8": m1 % 8,
-                    "n1_mod_8": n1 % 8,
-                    "n2_mod_8": (od // n1) % 8,
-                }
-    return D, E, diagnostics
-
-
-def sum_of_powers_prime_residues(n: int, X: int, Z: int, limit: int = 50000):
-    """Residues mod 8 of small prime divisors of n^(2(Z-X)) + 1.
-
-    With X, Z odd and Z > X the difference is even, so the number is a
-    fourth power plus one; every odd prime divisor must be 1 mod 8.
-    """
-    if X % 2 == 0 or Z % 2 == 0 or Z <= X:
-        raise ValueError("requires odd X < Z")
-    N = n ** (2 * (Z - X)) + 1
-    found = [(q, q % 8) for q in primes_up_to(limit) if q > 2 and N % q == 0]
-    return {
-        "divisors": found,
-        "all_one_mod_8": all(r == 1 for _, r in found),
     }
 
 

@@ -1,5 +1,5 @@
-"""Exact solvers for a^x + b^y = c^z and the Gaussian-integer structure
-checks behind the k, l parametrization.
+"""Exact solvers for a^x + b^y = c^z, and gaussian_power_structure, the
+divisibility and valuation checks on a Gaussian power (a1 + b1 i)^Z.
 
 Two solver routes are kept deliberately separate: a dominant-term
 solver, which for each z tests only the one power of a and the one
@@ -16,10 +16,8 @@ import math
 
 from .numerics import (
     GaussianInt,
-    UNITS,
     factorize,
     g_pow,
-    integer_nth_root,
     perfect_power_exponent,
     val_p,
 )
@@ -31,9 +29,6 @@ __all__ = [
     "find_solutions",
     "find_solutions_unpruned",
     "scan_range",
-    "power_triple_generators",
-    "KLStructureError",
-    "gaussian_root",
     "gaussian_power_structure",
 ]
 
@@ -203,63 +198,6 @@ def scan_range(m_max: int, cap: int, jobs: int = 1) -> dict:
         "non_trivial": non_trivial,
         "exceptional": exceptional,
     }
-
-
-class KLStructureError(ValueError):
-    """Raised when (a^X, b^Y, c^Z) is not a primitive Pythagorean triple."""
-
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
-def power_triple_generators(p: PrimPair, X: int, Y: int, Z: int) -> tuple[int, int]:
-    """The (k, l) with a^X = k^2 - l^2, b^Y = 2kl, c^Z = k^2 + l^2.
-
-    Exists exactly when the three odd-exponent powers form a Pythagorean
-    triple again; X = Y = Z = 1 returns the generators (m, n) themselves.
-    """
-    if X % 2 == 0 or Y % 2 == 0 or Z % 2 == 0:
-        raise ValueError("requires odd X, Y, Z")
-    t = triple_of(p)
-    aX, bY, cZ = t.a**X, t.b**Y, t.c**Z
-    ksq, lsq = (cZ + aX) // 2, (cZ - aX) // 2
-    if (cZ + aX) % 2 or (cZ - aX) % 2:
-        raise KLStructureError("no Pythagorean structure")
-    k = math.isqrt(ksq)
-    l = math.isqrt(lsq)
-    if k * k != ksq or l * l != lsq:
-        raise KLStructureError("no Pythagorean structure")
-    if 2 * k * l != bY:
-        raise KLStructureError("middle identity fails")
-    return k, l
-
-
-def gaussian_root(k: int, l: int, Z: int) -> tuple[int, int, GaussianInt]:
-    """Solve unit * (a1 + b1 i)^Z = k + l i with a1^2 + b1^2 = c.
-
-    Requires k^2 + l^2 to be an exact Z-th power c^Z; representations of
-    c as a sum of two squares are enumerated directly (a1 ascending,
-    then b1 = +s before -s, units in the order 1, i, -1, -i).
-    """
-    if Z % 2 == 0 or Z < 1:
-        raise ValueError("requires odd positive Z")
-    if math.gcd(k, l) != 1 or (k - l) % 2 == 0:
-        raise ValueError("requires coprime k, l of opposite parity")
-    c, exact = integer_nth_root(k * k + l * l, Z)
-    if not exact:
-        raise ValueError("k^2 + l^2 is not an exact Z-th power")
-    target = GaussianInt(k, l)
-    for unit in UNITS:
-        for a1 in range(math.isqrt(c) + 1):
-            rest = c - a1 * a1
-            s = math.isqrt(rest)
-            if s * s != rest:
-                continue
-            for b1 in (s, -s) if s else (0,):
-                if unit * g_pow(GaussianInt(a1, b1), Z) == target:
-                    return a1, b1, unit
-    raise ValueError("no representation found")
 
 
 def gaussian_power_structure(a1: int, b1: int, Z: int) -> dict:

@@ -23,7 +23,6 @@ __all__ = [
     "triple_of",
     "TwoAdicProfile",
     "two_adic_profile",
-    "is_prime_power",
     "exclusion_conditions",
     "min_c_scan",
     "iter_pairs",

@@ -1,6 +1,6 @@
 """Certified-bounds layer: recomputed constants, the two-logarithm
 condition checker on a frozen worked instance, epsilon enclosures,
-exponent-gap squeezes, and the threshold certifier."""
+and the threshold certifier."""
 
 from fractions import Fraction
 
@@ -10,7 +10,6 @@ import pytest
 from tripow import bounds, cli
 from tripow.bounds import (
     THEOREM_FORMS,
-    DeltaBounds,
     HypothesisError,
     KAPPA,
     L_SLOPE,
@@ -21,9 +20,6 @@ from tripow.bounds import (
     certify_threshold,
     corollary_L,
     crossover,
-    exponent_gap_bounds,
-    exponent_gap_lower,
-    exponent_gap_upper,
     laurent_check,
     laurent_epsilon,
     laurent_epsilon_majorant,
@@ -37,7 +33,7 @@ from tripow.bounds import (
 )
 from tripow.numerics import RInterval
 from tripow.search import ExponentTriple
-from tripow.triples import new_pair
+from tripow.triples import new_pair, triple_of
 
 PREC = 128
 
@@ -251,16 +247,30 @@ def test_corollary_length_parameter():
 def test_lower_bound_worked_value():
     res = two_log_lower_bound(Fraction(1100), Fraction(10), PREC)
     assert res.L == 6 and not res.L_floored
-    with mpmath.workdps(40):
-        lnbp = mpmath.log(10)
-        val = (
-            -mpmath.mpf("3.741") * (lnbp + mpmath.mpf("6.87")) ** 2 * 1100
-            - mpmath.mpf(31 * 6) / 15
-            - mpmath.log(6)
-            - mpmath.log(2 + mpmath.mpf("0.222") * 6 * 1100)
-        )
-        assert abs(mpmath.mpf(str(float(res.log_lambda_lower.mid))) - val) < mpmath.mpf("1e-6")
     assert_within(res.log_lambda_lower, Fraction(-3462508, 10), Fraction(1, 1))
+    # second oracle input, far above the hypothesis floor: m = 2^1443, n = 3,
+    # z = 100, a2 = ln c + a1 (about 2070), b' = z (1/69.73 + 1/a2) (about 1.48)
+    c = triple_of(new_pair(2**1443, 3)).c
+    a2 = riv(c).ln() + alpha1_constant(PREC)
+    bprime = 100 * (1 / riv(Fraction(6973, 100)) + 1 / a2)
+    far = two_log_lower_bound(a2, bprime, PREC)
+    with mpmath.workdps(40):
+        a2_far = mpmath.log(c) + mpmath.exp(mpmath.mpf("3.1")) * mpmath.pi
+        bprime_far = 100 * (1 / mpmath.mpf("69.73") + 1 / a2_far)
+        for got, a2_o, bp_o in [
+            (res, mpmath.mpf(1100), mpmath.mpf(10)),
+            (far, a2_far, bprime_far),
+        ]:
+            lnbp = mpmath.log(bp_o)
+            L = max(3, int(mpmath.floor(mpmath.mpf(45) / 62 * (lnbp + mpmath.mpf("5.49")))) + 1)
+            val = (
+                -mpmath.mpf("3.741") * (lnbp + mpmath.mpf("6.87")) ** 2 * a2_o
+                - mpmath.mpf(31 * L) / 15
+                - mpmath.log(L)
+                - mpmath.log(2 + mpmath.mpf("0.222") * L * a2_o)
+            )
+            assert got.L == L
+            assert abs(mpmath.mpf(str(float(got.log_lambda_lower.mid))) - val) < mpmath.mpf("1e-6")
 
 
 def test_lower_bound_floors_short_lengths():
@@ -286,66 +296,6 @@ def test_minor_parameter_counts_at_the_hypothesis_floor():
     assert inst.K == 11027
     assert inst.N == 33081
     assert laurent_epsilon(inst.N, 200).strictly_less(riv(Fraction(11, 10000), 200))
-
-
-# -- exponent gap ------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def huge_pair():
-    return new_pair(2**1443, 3)
-
-
-def test_gap_upper_examples(huge_pair):
-    up100 = exponent_gap_upper(huge_pair, 100, PREC)
-    up200 = exponent_gap_upper(huge_pair, 200, PREC)
-    assert_within(up100, Fraction(40854, 100), Fraction(1, 10))
-    assert_within(up200, Fraction(49023, 100), Fraction(1, 10))
-    assert up100.strictly_less(up200)
-
-
-def test_gap_upper_oracle(huge_pair):
-    m, n, z = huge_pair.m, huge_pair.n, 100
-    with mpmath.workdps(40):
-        a1 = mpmath.exp(mpmath.mpf("3.1")) * mpmath.pi
-        ln_c = mpmath.log(m * m + n * n)
-        a2 = ln_c + a1
-        bp = z * (1 / mpmath.mpf("69.73") + 1 / a2)
-        L = max(3, int(mpmath.floor(mpmath.mpf(45) / 62 * (mpmath.log(bp) + mpmath.mpf("5.49")))) + 1)
-        lam = (
-            -mpmath.mpf("3.741") * (mpmath.log(bp) + mpmath.mpf("6.87")) ** 2 * a2
-            - mpmath.mpf(31 * L) / 15
-            - mpmath.log(L)
-            - mpmath.log(2 + mpmath.mpf("0.222") * L * a2)
-        )
-        want = 2 * (-lam + mpmath.log(mpmath.pi)) / ln_c
-    got = exponent_gap_upper(huge_pair, z, PREC)
-    assert abs(float(got.mid) - float(want)) < 1e-6 * abs(float(want))
-
-
-def test_gap_upper_rejections(huge_pair):
-    with pytest.raises(ValueError, match="z >= 2"):
-        exponent_gap_upper(huge_pair, 1, PREC)
-    with pytest.raises(HypothesisError) as err:
-        exponent_gap_upper(new_pair(13, 4), 100, PREC)
-    assert err.value.hypothesis == "ln c >= 1000"
-
-
-def test_gap_lower_examples():
-    import math
-
-    for mn, ref in [((13, 4), math.log(13) / math.log(4)), ((8, 3), math.log(8) / math.log(3))]:
-        iv = exponent_gap_lower(new_pair(*mn), PREC)
-        assert abs(float(iv.mid) - ref) < 1e-12
-    with pytest.raises(ValueError):
-        exponent_gap_lower(new_pair(2, 1), PREC)
-
-
-def test_gap_squeeze_is_inconsistent_for_huge_pair(huge_pair):
-    out = exponent_gap_bounds(huge_pair, 100, PREC)
-    assert isinstance(out, DeltaBounds)
-    assert not out.consistent
-    assert out.upper.strictly_less(out.lower)
 
 
 # -- small-pair exclusion helpers ---------------------------------------------------

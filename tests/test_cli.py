@@ -289,6 +289,26 @@ def test_laurent_hypothesis_failure_is_exit_one(capsys):
 
 
 @pytest.mark.parametrize(
+    "config, argv",
+    [
+        (None, ("laurent", "--a2", "1100", "--bprime", "1/0")),
+        (None, ("laurent", "--a2", "1/0", "--bprime", "10")),
+        (None, ("threshold", "--at", "1/0e5")),
+        ("bprime = 1/0\n", ("laurent", "--a2", "1100")),
+    ],
+    ids=["bprime", "a2", "at", "config-bprime"],
+)
+def test_zero_denominator_is_invalid_input(tmp_path, capsys, config, argv):
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = ("--config", str(cfg), *argv)
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "zero denominator" in err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("threshold", "--theorem", "1.2", "--at", "7e60000"),

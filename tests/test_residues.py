@@ -17,15 +17,11 @@ from tripow.residues import (
     _gaussian_prime_factors,
     _sqrt_minus_one,
     QuarticValue,
-    is_primary,
     jacobi,
     parity_engine,
     parity_feasible,
-    power_sum_diff_split,
-    primary_associate,
     quadratic_sieve,
     quartic_symbol,
-    sum_of_powers_prime_residues,
 )
 from tripow.triples import iter_pairs, new_pair, triple_of
 
@@ -139,33 +135,6 @@ def test_quartic_value_algebra():
     assert QuarticValue(1) ** 4 == QuarticValue(0) == 1
     assert QuarticValue(1) == I and QuarticValue(2) == -1
     assert str(QuarticValue(3)) == "-i"
-
-
-def test_primary_examples():
-    assert is_primary(GaussianInt(9, -4))
-    prim, unit = primary_associate(GaussianInt(9, -4))
-    assert prim == GaussianInt(9, -4) and unit == ONE
-    prim, unit = primary_associate(GaussianInt(4, 9))
-    assert prim == GaussianInt(9, -4) and unit == GaussianInt(0, -1)
-    prim, unit = primary_associate(GaussianInt(1, 2))
-    assert prim == unit * GaussianInt(1, 2) and is_primary(prim)
-
-
-def test_primary_rejects_even_norm():
-    with pytest.raises(ValueError):
-        primary_associate(GaussianInt(1, 1))
-
-
-@given(st.integers(min_value=-80, max_value=80), st.integers(min_value=-80, max_value=80))
-def test_primary_unique_among_associates(re, im):
-    g = GaussianInt(re, im)
-    if g.norm() % 2 == 0 or g.norm() <= 1:
-        return
-    prim, unit = primary_associate(g)
-    assert prim == unit * g
-    assert prim == _make_primary(g)
-    primaries = [u * g for u in (ONE, I, -ONE, -I) if is_primary(u * g)]
-    assert primaries == [prim]
 
 
 # -- quartic symbol ----------------------------------------------------------
@@ -473,49 +442,3 @@ def test_engine_rules_sound_by_residue_exhaustion():
             checked.add(rule.split("-mod8-")[0])
     assert checked == {"mod4-x-even", "mod16-x-z-even", "sum", "diff",
                        "quartic-chain-x-eq-y"}, checked
-
-
-# -- power sum/difference split -------------------------------------------------
-
-
-def test_split_trivial_identity():
-    for mn in [(2, 1), (13, 4), (12, 7)]:
-        p = new_pair(*mn)
-        D, E, diag = power_sum_diff_split(p, 1, 1, 2)
-        m, n = p.m, p.n
-        assert D == 2 * m * m and E == 2 * n * n
-        assert diag["gcd_DE"] == 2
-        assert diag["product_is_b_pow_y"]  # D*E = b^2 exactly
-
-
-def test_split_no_exact_power_case():
-    D, E, diag = power_sum_diff_split(new_pair(13, 4), 3, 3, 2)
-    assert D == 185**3 + 153**3 and E == 185**3 - 153**3
-    assert diag["gcd_DE"] == 2
-    assert not diag["product_is_b_pow_y"]
-    assert diag["decomposition"] is None
-
-
-def test_split_decomposition_structure():
-    p = new_pair(4, 3)
-    D, E, diag = power_sum_diff_split(p, 1, 1, 2)
-    dec = diag["decomposition"]
-    assert dec is not None
-    assert dec["n1"] * dec["n2"] == 3
-    assert 4 * dec["m1"] * dec["m2"] == 4  # m = 2^alpha m1 m2 with alpha = 2
-    assert dec["n1_mod_8"] == dec["n1"] % 8
-
-
-def test_split_rejects_even_half_exponents():
-    with pytest.raises(ValueError):
-        power_sum_diff_split(new_pair(13, 4), 2, 1, 2)
-
-
-@given(st.integers(min_value=2, max_value=30),
-       st.sampled_from([(1, 3), (1, 5), (3, 5), (1, 7), (3, 7), (5, 9)]))
-def test_fourth_power_plus_one_divisors_are_one_mod_eight(n, XZ):
-    X, Z = XZ
-    out = sum_of_powers_prime_residues(n, X, Z, limit=20000)
-    assert out["all_one_mod_8"]
-    for q, r in out["divisors"]:
-        assert r == 1 and (n ** (2 * (Z - X)) + 1) % q == 0

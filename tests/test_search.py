@@ -1,5 +1,5 @@
 """Both solver routes against each other and a brute oracle, plus the
-Gaussian k, l structure checks."""
+Gaussian power structure checks."""
 
 import concurrent.futures
 import math
@@ -11,17 +11,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripow import search
-from tripow.numerics import GaussianInt, ONE, g_pow
+from tripow.numerics import GaussianInt, g_pow
 from tripow.search import (
     ExponentTriple,
     _dominant_term_solutions,
-    KLStructureError,
     SolutionRecord,
     find_solutions,
     find_solutions_unpruned,
     gaussian_power_structure,
-    gaussian_root,
-    power_triple_generators,
     scan_range,
 )
 from tripow.triples import iter_pairs, new_pair, triple_of
@@ -183,59 +180,7 @@ def test_scan_range_degenerate_limit():
     assert rep["pairs_scanned"] == 0 and "warning" in rep
 
 
-# -- k, l parametrization --------------------------------------------------------
-
-
-def test_generators_at_unit_exponents_are_the_pair():
-    for p in iter_pairs(12):
-        assert power_triple_generators(p, 1, 1, 1) == (p.m, p.n)
-
-
-def test_generators_identities():
-    for p in iter_pairs(10):
-        t = triple_of(p)
-        k, l = power_triple_generators(p, 1, 1, 1)
-        assert k * k - l * l == t.a and 2 * k * l == t.b and k * k + l * l == t.c
-        assert math.gcd(k, l) == 1 and (k - l) % 2 == 1
-
-
-def test_generators_failure_modes():
-    p = new_pair(2, 1)
-    with pytest.raises(KLStructureError) as err:
-        power_triple_generators(p, 3, 1, 3)
-    assert err.value.reason == "no Pythagorean structure"
-    with pytest.raises(ValueError, match="odd"):
-        power_triple_generators(p, 2, 1, 1)
-
-
-def test_gaussian_root_examples():
-    assert gaussian_root(2, 11, 3) == (2, 1, ONE)
-    a1, b1, unit = gaussian_root(-2, 11, 3)
-    assert (a1, b1) == (2, -1) and unit == GaussianInt(-1, 0)
-
-
-def test_gaussian_root_rejections():
-    with pytest.raises(ValueError):
-        gaussian_root(2, 11, 2)
-    with pytest.raises(ValueError):
-        gaussian_root(4, 2, 3)
-    with pytest.raises(ValueError, match="exact"):
-        gaussian_root(3, 2, 3)
-
-
-@given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40),
-       st.sampled_from([1, 3, 5]))
-@settings(max_examples=60)
-def test_gaussian_root_inverts_powers(u, v, Z):
-    if math.gcd(u, v) != 1 or (u - v) % 2 == 0:
-        return
-    g = g_pow(GaussianInt(u, v), Z)
-    k, l = g.re, g.im
-    if math.gcd(k, l) != 1:
-        return
-    a1, b1, unit = gaussian_root(k, l, Z)
-    assert unit * g_pow(GaussianInt(a1, b1), Z) == g
-    assert a1 * a1 + b1 * b1 == u * u + v * v
+# -- Gaussian power structure ---------------------------------------------------
 
 
 def test_power_structure_examples():

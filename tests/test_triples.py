@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from tripow.triples import (
     PrimPair,
     exclusion_conditions,
-    is_prime_power,
     iter_pairs,
     min_c_scan,
     new_pair,
@@ -118,11 +117,6 @@ def test_exclusion_conditions_for_185_pairs():
             "c_not_prime_power",
             "m_minus_n_ge_3",
         }
-
-
-def test_is_prime_power():
-    assert is_prime_power(125) and is_prime_power(17) and is_prime_power(8)
-    assert not is_prime_power(185) and not is_prime_power(1)
 
 
 def test_min_c_scan_reproduces_185():
