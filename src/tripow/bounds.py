@@ -20,7 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+import functools
 import math
+from typing import NamedTuple
 
 import mpmath
 from mpmath.libmp import round_floor, to_int, to_rational as _to_rational
@@ -431,15 +433,61 @@ def two_log_lower_bound(
 # Final-inequality right-hand side and threshold certification
 
 
-def _rhs_pieces(t: RInterval, with_correction: bool, precision: int):
-    s = t + RInterval(2, precision=precision).ln()  # ln(2m) with t = ln m
-    ln_s = s.ln()
-    F = ln_s if with_correction else s
-    G = F + RInterval(RHS_G_SHIFT, precision=precision)
-    Lp = RInterval(L_SLOPE, precision=precision) * ln_s + RInterval(
-        RHS_L_SHIFT, precision=precision
-    )
-    return s, ln_s, G, Lp
+class _RhsConsts(NamedTuple):
+    """The right-hand side's constants in one number type, RInterval or float."""
+
+    lead: object
+    g_shift: object
+    shift: object
+    l_coeff: object
+    log_coeff: object
+    sq_coeff: object
+    l_shift: object
+    slope: object
+    one: object
+    two: object
+    ln2: object
+
+
+# exact values of _RhsConsts' fields in order; ln2 is the ln of the last
+_RHS_EXACT = (
+    RHS_LEAD, RHS_G_SHIFT, RHS_SHIFT, RHS_L_COEFF, RHS_LOG_COEFF,
+    RHS_SQ_COEFF, RHS_L_SHIFT, L_SLOPE, 1, 2,
+)
+
+
+@functools.cache
+def _rhs_consts(precision: int) -> _RhsConsts:
+    """The constants as intervals at this precision, built on first use."""
+    exact = [RInterval(c, precision=precision) for c in _RHS_EXACT]
+    return _RhsConsts(*exact, exact[-1].ln())
+
+
+# the same constants in floats, for locating the crossover only
+_RHS_FLOATS = _RhsConsts(*(float(c) for c in _RHS_EXACT), math.log(2))
+
+
+def _ln(x):
+    # looked up on the operand at each call, so a tracer that patches
+    # RInterval.ln by name sees every interval log
+    return x.ln() if isinstance(x, RInterval) else math.log(x)
+
+
+def _rhs_pieces(t, with_correction: bool, k: _RhsConsts):
+    s = t + k.ln2  # ln(2m) with t = ln m
+    ln_s = _ln(s)
+    G = (ln_s if with_correction else s) + k.g_shift
+    Lp = k.slope * ln_s + k.l_shift
+    return s, G, Lp
+
+
+def _rhs(t, with_correction: bool, k: _RhsConsts):
+    """The right-hand side at t, over the number type of t and k."""
+    s, G, Lp = _rhs_pieces(t, with_correction, k)
+    term1 = k.lead * G * G * (k.one + k.shift / s)
+    term2 = k.l_coeff * Lp / t
+    term3 = (_ln(k.log_coeff * Lp) + k.sq_coeff * Lp * Lp * (t + k.shift)) / t
+    return term1 + term2 + term3
 
 
 def threshold_rhs(
@@ -452,37 +500,27 @@ def threshold_rhs(
     with L' = (45/62) ln ln(2m) + 1.56.  The corrected form takes
     F = ln ln(2m), matching the derivation through ln b'; the literal
     form F = ln(2m) is kept for comparison and overwhelms any t^q.
+
+    _locate_crossover evaluates the same formula (_rhs) in floats.  That
+    value only picks which grid cell crossover certifies; every sign and
+    verdict rests on this interval enclosure.
     """
     t_iv = t if isinstance(t, RInterval) else RInterval(t, precision=precision)
     if not t_iv.lo > 1000:
         raise ValueError("requires t = ln m > 1000")
-    prec = max(precision, t_iv.precision)
-    s, _, G, Lp = _rhs_pieces(t_iv, with_correction, prec)
-    c_a = RInterval(RHS_LEAD, precision=prec)
-    c70 = RInterval(RHS_SHIFT, precision=prec)
-    term1 = c_a * G * G * (1 + c70 / s)
-    term2 = RInterval(RHS_L_COEFF, precision=prec) * Lp / t_iv
-    term3 = (
-        (RInterval(RHS_LOG_COEFF, precision=prec) * Lp).ln()
-        + RInterval(RHS_SQ_COEFF, precision=prec) * Lp * Lp * (t_iv + c70)
-    ) / t_iv
-    return term1 + term2 + term3
+    return _rhs(t_iv, with_correction, _rhs_consts(max(precision, t_iv.precision)))
 
 
 def _rhs_derivative(t: RInterval, precision: int) -> RInterval:
     """Enclosure of d/dt of the corrected right-hand side on the interval t."""
-    prec = precision
-    s, _, G, Lp = _rhs_pieces(t, True, prec)
-    c_a = RInterval(RHS_LEAD, precision=prec)
-    c70 = RInterval(RHS_SHIFT, precision=prec)
-    c629 = RInterval(RHS_LOG_COEFF, precision=prec)
-    Lp_t = RInterval(L_SLOPE, precision=prec) / s
-    one = RInterval(1, precision=prec)
-    d1 = c_a * (2 * G * (one + c70 / s) / s - c70 * G * G / (s * s))
-    d2 = RInterval(RHS_L_COEFF, precision=prec) * (Lp_t / t - Lp / (t * t))
-    d3 = (Lp_t / Lp) / t - (c629 * Lp).ln() / (t * t)
-    d4 = RInterval(RHS_SQ_COEFF, precision=prec) * (
-        2 * Lp * Lp_t * (one + c70 / t) - c70 * Lp * Lp / (t * t)
+    k = _rhs_consts(precision)
+    s, G, Lp = _rhs_pieces(t, True, k)
+    Lp_t = k.slope / s
+    d1 = k.lead * (k.two * G * (k.one + k.shift / s) / s - k.shift * G * G / (s * s))
+    d2 = k.l_coeff * (Lp_t / t - Lp / (t * t))
+    d3 = (Lp_t / Lp) / t - (k.log_coeff * Lp).ln() / (t * t)
+    d4 = k.sq_coeff * (
+        k.two * Lp * Lp_t * (k.one + k.shift / t) - k.shift * Lp * Lp / (t * t)
     )
     return d1 + d2 + d3 + d4
 
@@ -514,46 +552,38 @@ def _tail_start(form: Fraction, precision: int) -> Fraction | None:
     increasing in w; one interval check at the tail start finishes the
     argument.
     """
-    prec = precision
-    ln2 = RInterval(2, precision=prec).ln()
-    c_a = RInterval(RHS_LEAD, precision=prec)
-    c_b = RInterval(RHS_SQ_COEFF, precision=prec)
-    c_sq = RInterval(Fraction(83, 10), precision=prec)
-    c_shift = RInterval(Fraction(22, 10), precision=prec)
-    slope = RInterval(L_SLOPE, precision=prec)
-    lp_const = RInterval(RHS_L_SHIFT, precision=prec)
-    g_shift = RInterval(RHS_G_SHIFT, precision=prec)
-    c_l = RInterval(RHS_L_COEFF, precision=prec)
-    c_log = RInterval(RHS_LOG_COEFF, precision=prec)
-    form_iv = RInterval(form, precision=prec)
+    k = _rhs_consts(precision)
+    c_sq = RInterval(Fraction(83, 10), precision=precision)
+    c_shift = RInterval(Fraction(22, 10), precision=precision)
+    form_iv = RInterval(form, precision=precision)
 
     # coefficient comparisons: 7.482 (w+2.139)^2 + 0.7 L'(w)^2 <= 8.3 (w+2.2)^2
-    cw2 = c_a + c_b * slope * slope
-    cw1 = 2 * (c_a * g_shift + c_b * slope * lp_const)
-    cw0 = c_a * g_shift * g_shift + c_b * lp_const * lp_const
+    cw2 = k.lead + k.sq_coeff * k.slope * k.slope
+    cw1 = k.two * (k.lead * k.g_shift + k.sq_coeff * k.slope * k.l_shift)
+    cw0 = k.lead * k.g_shift * k.g_shift + k.sq_coeff * k.l_shift * k.l_shift
     if not (
         cw2.strictly_less(c_sq)
-        and cw1.strictly_less(2 * c_sq * c_shift)
+        and cw1.strictly_less(k.two * c_sq * c_shift)
         and cw0.strictly_less(c_sq * c_shift * c_shift)
     ):
         return None
 
     w_t = Fraction(10)
     while w_t <= 60:
-        w = RInterval(w_t, precision=prec)
+        w = RInterval(w_t, precision=precision)
         expw = (-w).exp()
-        inv_t = 1 / (1 - ln2 * expw)
-        factor = 1 - 2 * ln2 * expw
+        inv_t = k.one / (k.one - k.ln2 * expw)
+        factor = k.one - k.two * k.ln2 * expw
         if inv_t.strictly_positive() and factor.strictly_positive():
-            Lp = slope * w + lp_const
-            k1 = c_a * RHS_SHIFT * (w + g_shift) ** 2 * expw
-            k2 = c_l * Lp * inv_t * expw
-            k3 = (c_log * Lp).ln() * inv_t * expw
-            k4 = c_b * RHS_SHIFT * inv_t * Lp * Lp * expw
+            Lp = k.slope * w + k.l_shift
+            k1 = k.lead * k.shift * (w + k.g_shift) ** 2 * expw
+            k2 = k.l_coeff * Lp * inv_t * expw
+            k3 = (k.log_coeff * Lp).ln() * inv_t * expw
+            k4 = k.sq_coeff * k.shift * inv_t * Lp * Lp * expw
             ktail = k1 + k2 + k3 + k4
             C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
-            h = form_iv * w - (C / factor).ln() - 2 * (w + c_shift).ln()
-            h_slope = form_iv - 2 / (w + c_shift)
+            h = form_iv * w - (C / factor).ln() - k.two * (w + c_shift).ln()
+            h_slope = form_iv - k.two / (w + c_shift)
             if h.strictly_positive() and h_slope.strictly_positive():
                 return w_t
         w_t += Fraction(1, 2)
@@ -592,6 +622,8 @@ def certify_threshold(
 
     lo = t0_iv.lo
     if lo < tail_start.hi:
+        form_iv = RInterval(form, precision=precision)
+        slope_exp = RInterval(form - 1, precision=precision)
         # geometric grid [t0, tail start]; derivative must stay positive
         points = [_exact(lo)]
         end = _exact(tail_start.hi)
@@ -599,11 +631,7 @@ def certify_threshold(
             points.append(points[-1] * grid_ratio)
         for i in range(len(points) - 1):
             seg = RInterval(points[i], points[i + 1], precision=precision)
-            deriv = (
-                RInterval(form, precision=precision)
-                * seg.pow_frac(form - 1)
-                - _rhs_derivative(seg, precision)
-            )
+            deriv = form_iv * seg.pow_frac(slope_exp) - _rhs_derivative(seg, precision)
             if not deriv.strictly_positive():
                 cert.failing_point = float(points[i])
                 return cert
@@ -620,40 +648,37 @@ CROSSOVER_START = 1100
 def _locate_crossover(form: Fraction) -> float:
     """Float estimate of the t > 1000 where t^form meets the corrected RHS.
 
-    Illinois (bracketed secant) on g(u) = form*u - ln RHS(e^u) over
-    u in [ln 1100, ln(1100 * 2^80)].  RHS comes from threshold_rhs at 53
-    bits, so the formula has one source; g is nearly linear in u, so a
-    handful of steps reach a relative error far below one grid cell.
+    The secant method on g(u) = form*u - ln RHS(e^u), with RHS from
+    threshold_rhs's own body (_rhs) over floats, so the formula has one
+    source.  It starts from u0 = ln 1100 and the fixed-point step
+    u1 = u0 - g(u0)/form: the RHS grows like a squared log, so g' stays
+    close to form and g is nearly linear in u.  A root outside
+    u in [ln 1100, ln(1100 * 2^80)] raises: the RHS of the theorems'
+    forms meets t^form well inside it.
+
+    The estimate only picks which grid cell crossover certifies; it
+    decides no sign and no verdict, so a rounding error here can cost a
+    certified evaluation, never a wrong bracket.
     """
     q = float(form)
 
     def g(u: float) -> float:
-        return q * u - math.log(float(threshold_rhs(math.exp(u), True, 53).mid))
+        return q * u - math.log(_rhs(math.exp(u), True, _RHS_FLOATS))
 
-    a, b = math.log(CROSSOVER_START), math.log(CROSSOVER_START) + 80 * math.log(2)
-    ga, gb = g(a), g(b)
-    if ga >= 0:
+    start = math.log(CROSSOVER_START)
+    u0, g0 = start, g(start)
+    if g0 >= 0:
         raise AssertionError("expected the RHS to dominate at t = 1100")
-    if gb <= 0:
-        raise AssertionError("no sign change located")
-    side = 0
-    while b - a > 1e-12 * b:
-        c = b - gb * (b - a) / (gb - ga)
-        gc = g(c)
+    u1 = u0 - g0 / q
+    for _ in range(20):  # five steps reach the tolerance for both forms
+        g1 = g(u1)
         # g' is close to form, so |g| / form bounds the error in u = ln t
-        if abs(gc) < 1e-10:
-            return math.exp(c)
-        if gc < 0:
-            a, ga = c, gc
-            if side < 0:
-                gb /= 2
-            side = -1
-        else:
-            b, gb = c, gc
-            if side > 0:
-                ga /= 2
-            side = 1
-    return math.exp((a + b) / 2)
+        if abs(g1) < 1e-10:
+            if not start < u1 < start + 80 * math.log(2):
+                raise AssertionError("no sign change located")
+            return math.exp(u1)
+        u0, g0, u1 = u1, g1, u1 - g1 * (u1 - u0) / (g1 - g0)
+    raise AssertionError("crossover estimate did not converge")
 
 
 def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:

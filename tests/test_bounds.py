@@ -510,3 +510,68 @@ def test_crossover_never_nudges(monkeypatch, capsys):
         crossover(Fraction(3, 5), 256)
     assert cli.main(["threshold", "--theorem", "1.2", "--format", "json"]) == 2
     assert "precision" in capsys.readouterr().err
+
+
+# -- one RHS body over two number types, and crossover's cost ---------------------
+
+TABLE_PRECISIONS = (64, 80, 96, 128, 192, 256, 384, 512, 768, 1024)
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", TABLE_PRECISIONS)
+def test_crossover_makes_three_rhs_calls(monkeypatch, form, precision):
+    calls = []
+    real = bounds.threshold_rhs
+
+    def counted(t, with_correction=True, precision=256):
+        calls.append(t)
+        return real(t, with_correction, precision)
+
+    monkeypatch.setattr(bounds, "threshold_rhs", counted)
+    crossover(form, precision)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+def test_locate_crossover_builds_no_interval(monkeypatch, form):
+    def refuse(*args, **kwargs):
+        raise AssertionError("RInterval constructed")
+
+    monkeypatch.setattr(RInterval, "__init__", refuse)
+    t = bounds._locate_crossover(form)
+    monkeypatch.undo()
+    # the estimate lies in the cell crossover certifies
+    assert crossover(form, 256).contains(Fraction(t))
+
+
+@pytest.mark.parametrize("corrected", (True, False))
+@pytest.mark.parametrize("t", ("1100", "5000", "47387.68", "229843.5", "1e6", "1e15"))
+def test_float_rhs_matches_interval_rhs(t, corrected):
+    exact = Fraction(t)
+    approx = bounds._rhs(float(exact), corrected, bounds._RHS_FLOATS)
+    mid = float(threshold_rhs(exact, corrected, 256).mid)
+    assert abs(approx - mid) <= 1e-12 * mid
+
+
+@pytest.mark.parametrize("precision", TABLE_PRECISIONS)
+def test_rhs_constants_table_is_bit_equal_to_fresh_intervals(precision):
+    table = bounds._rhs_consts(precision)
+    fresh = {
+        "lead": bounds.RHS_LEAD,
+        "g_shift": bounds.RHS_G_SHIFT,
+        "shift": bounds.RHS_SHIFT,
+        "l_coeff": bounds.RHS_L_COEFF,
+        "log_coeff": bounds.RHS_LOG_COEFF,
+        "sq_coeff": bounds.RHS_SQ_COEFF,
+        "l_shift": bounds.RHS_L_SHIFT,
+        "slope": L_SLOPE,
+        "one": 1,
+        "two": 2,
+    }
+    expected = {name: RInterval(c, precision=precision) for name, c in fresh.items()}
+    expected["ln2"] = RInterval(2, precision=precision).ln()
+    assert sorted(expected) == sorted(table._fields)
+    for name, iv in expected.items():
+        got = getattr(table, name)
+        assert got.precision == precision
+        assert exact_ends(got) == exact_ends(iv), name

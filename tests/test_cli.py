@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -180,6 +181,28 @@ def test_threshold_below_crossover_fails(capsys):
 def test_threshold_rejects_bad_magnitude(capsys):
     code, _, err = run(capsys, "threshold", "--at", "abc")
     assert code == 2 and "error:" in err
+
+
+THRESHOLD_PINS = Path(__file__).with_name("threshold_reports.json")
+
+
+def test_threshold_reports_match_pins(capsys):
+    """Reports and exit codes of a fixed threshold argv set, byte for byte.
+
+    The pins in threshold_reports.json were made at commit 9bfd05e, before
+    the crossover estimate moved to floats: each argv went through
+    ``tripow.cli.main``, and its exit code and parsed JSON stdout were
+    saved.  The set is the default runs of theorems 1.2 and 1.3, theorem
+    1.2 at 64 and 512 bits, and the refuted point 1e50000.  A change that
+    is meant to alter these reports must re-pin them the same way and say
+    why.
+    """
+    pins = json.loads(THRESHOLD_PINS.read_text())
+    assert len(pins) == 5
+    for pin in pins:
+        code, out, _ = run(capsys, *pin["argv"])
+        assert code == pin["exit_code"], pin["argv"]
+        assert out == json.dumps(pin["report"], sort_keys=True, indent=2) + "\n", pin["argv"]
 
 
 # -- symbols -----------------------------------------------------------------------

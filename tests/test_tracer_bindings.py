@@ -5,14 +5,19 @@ functions, ``LaurentInstance.ln_b`` and ``RInterval``'s operator methods,
 and its ln_b hook reads the instance's ``K``.  A renamed or removed name
 makes a traced benchmark run crash.  The tracer is loaded here from its
 file, unchanged, and three CLI calls run through it.
+
+The tracer patches names when it is installed, so a table that keeps a
+patched object from before that would bypass it without a crash; the
+last test guards the threshold RHS constants table against that.
 """
 
 import contextlib
 import importlib.util
 import io
+from collections import Counter
 from pathlib import Path
 
-from tripow import cli
+from tripow import bounds, cli
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -60,3 +65,40 @@ def test_traced_calls_match_untraced_and_record_ln_b():
         for span in tracer.spans
         if span[3] >= 0
     )
+
+
+def _rhs_child_ops(tracer) -> list[int]:
+    """Interval operations recorded under each threshold_rhs span, in call order."""
+    rhs = tracer.names.index("bounds.threshold_rhs")
+    rint = tracer.names.index("numerics.rinterval")
+    children = Counter(span[3] for span in tracer.spans if span[0] == rint)
+    return [children[i] for i, span in enumerate(tracer.spans) if span[0] == rhs]
+
+
+def _traced_rhs_ops(tracing, argv, build_table_traced: bool) -> list[int]:
+    tracer = tracing.Tracer()
+    call = tracer.traced(cli.main)
+    try:
+        tracer.install()
+        if build_table_traced:
+            bounds._rhs_consts.cache_clear()
+        _run(call, argv)
+    finally:
+        tracer.uninstall()
+    return _rhs_child_ops(tracer)
+
+
+def test_rhs_table_built_before_tracing_hides_no_interval_op():
+    # the RHS constants are cached per precision; a table built before the
+    # tracer was installed must not bypass its RInterval.ln wrapper
+    tracing = _load_tracing()
+    argv = ["threshold", "--theorem", "1.2", "--format", "json"]
+    try:
+        _run(cli.main, argv)  # warms the 256-bit table untraced
+        warm = _traced_rhs_ops(tracing, argv, build_table_traced=False)
+        cold = _traced_rhs_ops(tracing, argv, build_table_traced=True)
+    finally:
+        bounds._rhs_consts.cache_clear()
+    assert len(warm) == len(cold) == 4 and all(warm)
+    # the first call builds the cold table; the later ones must count the same ops
+    assert warm[1:] == cold[1:]
