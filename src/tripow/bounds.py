@@ -13,7 +13,9 @@ pieces are:
 * a threshold certifier proving t^q dominates the final inequality's
   right-hand side for every t beyond a stated point: a strict check at
   the point, interval derivative positivity along a geometric grid, and
-  an analytic tail where the exponential wins over the squared log.
+  an analytic tail where the exponential wins over the squared log.  The
+  tail starts at a stated w = ln ln(2m) per form (tail_from = e^w ~ 268,337
+  for theorem 1.2, 59,874 for 1.3), certified on every call, not trusted.
 """
 
 from __future__ import annotations
@@ -61,6 +63,10 @@ L_SLOPE = Fraction(45, 62)
 
 # exponent q of t^q in the final inequality, by the theorem it proves
 THEOREM_FORMS = {"1.2": Fraction(3, 5), "1.3": Fraction(2, 3)}
+# by form, w = ln ln(2m) where certify_threshold's analytic tail starts
+TAIL_START = {Fraction(3, 5): Fraction(25, 2), Fraction(2, 3): Fraction(11)}
+# ratio of certify_threshold's geometric grid up to the tail start
+GRID_RATIO = Fraction(51, 50)
 
 # coefficients of the final inequality's right-hand side (threshold_rhs),
 #   7.482 (F + 2.139)^2 (1 + 70/ln(2m)) + (31/15) L'/t
@@ -240,7 +246,6 @@ class LaurentInstance:
     b2: int
     a1: RInterval
     a2: RInterval
-    D: int = 1
     # ln_superfactorial(K - 1) by precision: nearly all of ln_b's time, and a
     # laurent run asks for ln_b three times
     _factorial_log_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -287,6 +292,8 @@ class LaurentInstance:
 def laurent_check(inst: LaurentInstance, precision: int | None = None):
     """Certify the main numeric condition of the two-logarithm theorem.
 
+    The degree-one main term is
+    K (sigma L - 1) ln rho - 2 ln N - (K - 1) ln b - g L (R a1 + S a2).
     Returns (ok, margin, bound): ok is an interval-strict verdict on
     main > epsilon(N); bound encloses rho^(-mu K L), the lower bound the
     theorem then gives for the linear form.
@@ -298,11 +305,11 @@ def laurent_check(inst: LaurentInstance, precision: int | None = None):
         raise ValueError("requires rho > 1")
     ln_rho = inst.rho.ln()
     sigma = inst.sigma()
-    K, L, D = inst.K, inst.L, inst.D
+    K, L = inst.K, inst.L
     main = (
         RInterval(K, precision=prec) * (sigma * L - 1) * ln_rho
-        - (D + 1) * RInterval(inst.N, precision=prec).ln()
-        - D * (K - 1) * inst.ln_b(prec)
+        - 2 * RInterval(inst.N, precision=prec).ln()
+        - (K - 1) * inst.ln_b(prec)
         - RInterval(inst.g, precision=prec)
         * L
         * (inst.R * inst.a1 + inst.S * inst.a2)
@@ -314,18 +321,12 @@ def laurent_check(inst: LaurentInstance, precision: int | None = None):
     return ok, margin, bound
 
 
-def two_log_instance(
-    a2,
-    bprime,
-    b1: int | None = None,
-    b2: int | None = None,
-    precision: int = DEFAULT_PRECISION,
-) -> LaurentInstance:
+def two_log_instance(a2, bprime, precision: int = DEFAULT_PRECISION) -> LaurentInstance:
     """Instantiate the theorem the way the specialized corollary's proof does.
 
     L comes from bprime, K = 1 + floor(kappa L a1 a2), R2 and S2 balance
-    the two logarithm weights, mu = 2/3 and rho = e^3.1 are fixed.  When
-    b1, b2 are not given, equal coefficients reproducing bprime are used.
+    the two logarithm weights, mu = 2/3 and rho = e^3.1 are fixed, and
+    b1 = b2 are the equal coefficients reproducing bprime.
     """
     a2_iv = a2 if isinstance(a2, RInterval) else RInterval(a2, precision=precision)
     bp_iv = bprime if isinstance(bprime, RInterval) else RInterval(bprime, precision=precision)
@@ -335,10 +336,8 @@ def two_log_instance(
     K = 1 + _certified_floor(kla)
     R2 = 1 + _certified_floor(((K - 1) * L * a2_iv / a1_iv).sqrt())
     S2 = 1 + _certified_floor(((K - 1) * L * a1_iv / a2_iv).sqrt())
-    if b1 is None or b2 is None:
-        weight = 1 / (1 / a2_iv + 1 / a1_iv)
-        guess = max(1, _certified_floor(bp_iv * weight))
-        b1 = b2 = guess
+    weight = 1 / (1 / a2_iv + 1 / a1_iv)
+    b = max(1, _certified_floor(bp_iv * weight))
     return LaurentInstance(
         K=K,
         L=L,
@@ -348,11 +347,10 @@ def two_log_instance(
         S2=S2,
         rho=rho_log(precision).exp(),
         mu=RInterval(MU, precision=precision),
-        b1=b1,
-        b2=b2,
+        b1=b,
+        b2=b,
         a1=a1_iv,
         a2=a2_iv,
-        D=1,
     )
 
 
@@ -527,89 +525,100 @@ def _rhs_derivative(t: RInterval, precision: int) -> RInterval:
 
 @dataclass
 class ThresholdCert:
-    form: Fraction
     t0: RInterval
-    checked_at: list = field(default_factory=list)
-    monotone_from: RInterval | None = None
     verdict: bool = False
     tail_from: float | None = None
     failing_point: float | None = None
     segments: int = 0
-    precision: int = THRESHOLD_PRECISION
+
+
+def _threshold_sign(form: Fraction, t: RInterval, precision: int) -> int:
+    """+1 if t^form > RHS(t) is certified at t, -1 if t^form < RHS(t) is,
+    and 0 if the intervals overlap (undecided at this precision)."""
+    lhs = t.pow_frac(form)
+    rhs = threshold_rhs(t, True, precision)
+    if rhs.strictly_less(lhs):
+        return 1
+    if lhs.strictly_less(rhs):
+        return -1
+    return 0
+
+
+# The tail's majorant 8.3 (w + 2.2)^2 >= 7.482 (w + 2.139)^2 + 0.7 L'(w)^2
+# for w >= 0, compared coefficient by coefficient; every input is exact.
+TAIL_SQ = Fraction(83, 10)
+TAIL_SHIFT = Fraction(22, 10)
+_TAIL_MAJORANT_HOLDS = (
+    RHS_LEAD + RHS_SQ_COEFF * L_SLOPE**2 < TAIL_SQ
+    and 2 * (RHS_LEAD * RHS_G_SHIFT + RHS_SQ_COEFF * L_SLOPE * RHS_L_SHIFT)
+    < 2 * TAIL_SQ * TAIL_SHIFT
+    and RHS_LEAD * RHS_G_SHIFT**2 + RHS_SQ_COEFF * RHS_L_SHIFT**2 < TAIL_SQ * TAIL_SHIFT**2
+)
+
+
+def _tail_h(form: Fraction, w_t: Fraction, precision: int) -> tuple[RInterval, RInterval] | None:
+    """Enclosures of h(w) and h'(w) at w = w_t = ln ln(2m), or None when
+    1 - 2 ln2 e^-w is not certified positive.
+
+    The squared-log terms of the RHS are bounded by the majorant above;
+    every remaining term carries a factor e^-w and decreases for w >= 10,
+    so its value at w_t bounds it beyond.  The left side loses at most a
+    factor (1 - 2 ln2 e^-w) when moving from ln t to w.  What remains is
+    h(w) = form*w - ln(C/factor) - 2 ln(w + 2.2), increasing once
+    h'(w) = form - 2/(w + 2.2) > 0.
+    """
+    k = _rhs_consts(precision)
+    c_sq = RInterval(TAIL_SQ, precision=precision)
+    c_shift = RInterval(TAIL_SHIFT, precision=precision)
+    form_iv = RInterval(form, precision=precision)
+    w = RInterval(w_t, precision=precision)
+    expw = (-w).exp()
+    factor = k.one - k.two * k.ln2 * expw
+    if not factor.strictly_positive():
+        return None
+    inv_t = k.one / (k.one - k.ln2 * expw)  # e^-w * inv_t = 1/t, and both are positive
+    Lp = k.slope * w + k.l_shift
+    k1 = k.lead * k.shift * (w + k.g_shift) ** 2 * expw
+    k2 = k.l_coeff * Lp * inv_t * expw
+    k3 = (k.log_coeff * Lp).ln() * inv_t * expw
+    k4 = k.sq_coeff * k.shift * inv_t * Lp * Lp * expw
+    ktail = k1 + k2 + k3 + k4
+    C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
+    h = form_iv * w - (C / factor).ln() - k.two * (w + c_shift).ln()
+    return h, form_iv - k.two / (w + c_shift)
 
 
 def _tail_start(form: Fraction, precision: int) -> Fraction | None:
-    """First w in 10, 10.5, ..., 60 with t^form > RHS(t) certified for
-    every t with ln(t + ln 2) >= w, or None.
+    """TAIL_START[form] once h and h' certify positive there, else None:
+    then t^form > RHS(t) for every t with ln(t + ln 2) >= it.
 
-    Writes w = ln ln(2m).  The squared-log terms of the RHS are bounded
-    by 8.3 (w + 2.2)^2 (three coefficient comparisons, checked as
-    intervals once, since they do not involve w); every remaining term
-    carries a factor e^-w and is monotone decreasing for w >= 10, so its
-    value at the tail start bounds the tail.  The left side loses at most
-    a (1 - 2 ln2 e^-w) factor when moving from ln t to w.  What remains
-    is h(w) = form*w - ln(C/factor) - 2 ln(w + 2.2) > 0, which is
-    increasing in w; one interval check at the tail start finishes the
-    argument.
+    The starts, 25/2 for 3/5 (tail_from = e^w ~ 268,337) and 11 for 2/3
+    (59,874), are the least w in 10, 10.5, ... with h(w) > 0.  They are
+    certified on every call all the same: a certificate holds at the
+    caller's precision only if each of its steps was decided there, so
+    an h that this precision cannot decide fails the certificate.
     """
-    k = _rhs_consts(precision)
-    c_sq = RInterval(Fraction(83, 10), precision=precision)
-    c_shift = RInterval(Fraction(22, 10), precision=precision)
-    form_iv = RInterval(form, precision=precision)
-
-    # coefficient comparisons: 7.482 (w+2.139)^2 + 0.7 L'(w)^2 <= 8.3 (w+2.2)^2
-    cw2 = k.lead + k.sq_coeff * k.slope * k.slope
-    cw1 = k.two * (k.lead * k.g_shift + k.sq_coeff * k.slope * k.l_shift)
-    cw0 = k.lead * k.g_shift * k.g_shift + k.sq_coeff * k.l_shift * k.l_shift
-    if not (
-        cw2.strictly_less(c_sq)
-        and cw1.strictly_less(k.two * c_sq * c_shift)
-        and cw0.strictly_less(c_sq * c_shift * c_shift)
-    ):
-        return None
-
-    w_t = Fraction(10)
-    while w_t <= 60:
-        w = RInterval(w_t, precision=precision)
-        expw = (-w).exp()
-        inv_t = k.one / (k.one - k.ln2 * expw)
-        factor = k.one - k.two * k.ln2 * expw
-        if inv_t.strictly_positive() and factor.strictly_positive():
-            Lp = k.slope * w + k.l_shift
-            k1 = k.lead * k.shift * (w + k.g_shift) ** 2 * expw
-            k2 = k.l_coeff * Lp * inv_t * expw
-            k3 = (k.log_coeff * Lp).ln() * inv_t * expw
-            k4 = k.sq_coeff * k.shift * inv_t * Lp * Lp * expw
-            ktail = k1 + k2 + k3 + k4
-            C = c_sq + ktail / ((w + c_shift) * (w + c_shift))
-            h = form_iv * w - (C / factor).ln() - k.two * (w + c_shift).ln()
-            h_slope = form_iv - k.two / (w + c_shift)
-            if h.strictly_positive() and h_slope.strictly_positive():
-                return w_t
-        w_t += Fraction(1, 2)
+    w_t = TAIL_START[form]
+    tail = _tail_h(form, w_t, precision) if _TAIL_MAJORANT_HOLDS else None
+    if tail and tail[0].strictly_positive() and tail[1].strictly_positive():
+        return w_t
     return None
 
 
-def certify_threshold(
-    form,
-    t0,
-    precision: int = THRESHOLD_PRECISION,
-    grid_ratio: Fraction = Fraction(51, 50),
-) -> ThresholdCert:
+def certify_threshold(form, t0, precision: int = THRESHOLD_PRECISION) -> ThresholdCert:
     """Certify t^form > RHS(t) for every t >= t0 (corrected RHS).
 
     Strict interval comparison at t0, then interval positivity of the
-    derivative of t^form - RHS(t) along a geometric grid up to the tail
-    start, then the analytic tail of _tail_start.
+    derivative of t^form - RHS(t) along a geometric grid (ratio
+    GRID_RATIO) up to the tail start, then the analytic tail of
+    _tail_start.
     """
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
     t0_iv = t0 if isinstance(t0, RInterval) else RInterval(t0, precision=precision)
-    cert = ThresholdCert(form=form, t0=t0_iv, precision=precision)
-    lhs0 = t0_iv.pow_frac(form)
-    rhs0 = threshold_rhs(t0_iv, True, precision)
-    if not rhs0.strictly_less(lhs0):
+    cert = ThresholdCert(t0=t0_iv)
+    if _threshold_sign(form, t0_iv, precision) != 1:
         cert.failing_point = float(t0_iv.mid)
         return cert
 
@@ -628,7 +637,7 @@ def certify_threshold(
         points = [_exact(lo)]
         end = _exact(tail_start.hi)
         while points[-1] < end:
-            points.append(points[-1] * grid_ratio)
+            points.append(points[-1] * GRID_RATIO)
         for i in range(len(points) - 1):
             seg = RInterval(points[i], points[i + 1], precision=precision)
             deriv = form_iv * seg.pow_frac(slope_exp) - _rhs_derivative(seg, precision)
@@ -636,8 +645,6 @@ def certify_threshold(
                 cert.failing_point = float(points[i])
                 return cert
         cert.segments = len(points) - 1
-        cert.checked_at = [float(q) for q in points]
-    cert.monotone_from = t0_iv
     cert.verdict = True
     return cert
 
@@ -706,14 +713,10 @@ def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
         raise ValueError("form must be 3/5 or 2/3")
 
     def sign_at(t: Fraction) -> int:
-        x = RInterval(t, precision=precision)
-        lhs = x.pow_frac(form)
-        rhs = threshold_rhs(x, True, precision)
-        if rhs.strictly_less(lhs):
-            return 1
-        if lhs.strictly_less(rhs):
-            return -1
-        raise ValueError("crossover undecided at this precision; raise precision")
+        sign = _threshold_sign(form, RInterval(t, precision=precision), precision)
+        if sign == 0:
+            raise ValueError("crossover undecided at this precision; raise precision")
+        return sign
 
     start = CROSSOVER_START
     t_est = _locate_crossover(form)

@@ -23,7 +23,6 @@ from mpmath.libmp import (
     finf,
     fninf,
     fone,
-    from_float,
     from_int,
     fzero,
     mpf_add,
@@ -35,7 +34,6 @@ from mpmath.libmp import (
     mpi_delta,
     mpi_div,
     mpi_exp,
-    mpi_from_str,
     mpi_log,
     mpi_mul,
     mpi_neg,
@@ -407,16 +405,10 @@ def _to_mpi(x, prec: int) -> tuple:
         return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
     if isinstance(x, int):
         return _int_mpi(x, prec)
-    if isinstance(x, str):
-        return mpi_from_str(x, prec)
-    if isinstance(x, float):
-        v = from_float(x, prec, round_floor), from_float(x, prec, round_ceiling)
-    elif isinstance(x, mpmath.mpf):
-        v = x._mpf_, x._mpf_
-    else:
+    if not isinstance(x, mpmath.mpf):
         raise TypeError(f"cannot build interval from {type(x).__name__}")
     # a nan point encloses nothing; widen it to the whole line, as mpmath.iv does
-    return (fninf, finf) if fnan in v else v
+    return (fninf, finf) if x._mpf_ == fnan else (x._mpf_, x._mpf_)
 
 
 class RInterval:

@@ -3,6 +3,7 @@ condition checker on a frozen worked instance, epsilon enclosures,
 and the threshold certifier."""
 
 from fractions import Fraction
+import math
 
 import mpmath
 import pytest
@@ -378,9 +379,8 @@ def ln_pow10(exp10: int) -> RInterval:
 def test_certify_threshold_main_cases():
     cert = certify_threshold(Fraction(3, 5), ln_pow10(109948))
     assert cert.verdict and cert.failing_point is None
-    assert cert.segments == 3 and len(cert.checked_at) == 4
+    assert cert.segments == 3
     assert cert.tail_from is not None and 2.6e5 < cert.tail_from < 2.7e5
-    assert cert.monotone_from is not None
 
     cert2 = certify_threshold(Fraction(2, 3), ln_pow10(22933))
     assert cert2.verdict
@@ -397,7 +397,69 @@ def test_certify_threshold_refuses_below_crossover():
     cert = certify_threshold(Fraction(3, 5), ln_pow10(50000))
     assert not cert.verdict
     assert cert.failing_point == pytest.approx(115129.2546, abs=0.01)
-    assert cert.segments == 0 and cert.monotone_from is None
+    assert cert.segments == 0
+
+
+def test_certify_threshold_fails_where_t0_is_undecided(monkeypatch):
+    # an RHS too wide to compare with t0^form is a failed certificate, not a pass
+    t0 = ln_pow10(109948)
+    real = bounds.threshold_rhs
+
+    def blurred(t, with_correction=True, precision=256):
+        out = real(t, with_correction, precision)
+        return out + RInterval(-10**6, 10**6, precision=out.precision)
+
+    monkeypatch.setattr(bounds, "threshold_rhs", blurred)
+    assert bounds._threshold_sign(Fraction(3, 5), t0, 256) == 0
+    cert = certify_threshold(Fraction(3, 5), t0)
+    assert not cert.verdict and cert.segments == 0
+    assert cert.failing_point == pytest.approx(253164.6258, abs=0.01)
+
+
+# -- the analytic tail ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", (64, 1024))
+def test_tail_start_is_the_least_half_step_from_ten(form, precision):
+    w = bounds.TAIL_START[form]
+    assert w >= 10 and (2 * w).denominator == 1
+    h, h_slope = bounds._tail_h(form, w, precision)
+    assert h.strictly_positive() and h_slope.strictly_positive()
+    below, _ = bounds._tail_h(form, w - Fraction(1, 2), precision)
+    assert below.strictly_negative()
+    assert bounds._tail_start(form, precision) == w
+
+
+def test_tail_starts_stated_in_the_docs():
+    # tail_from = e^w, as the module docstring and the README state it
+    assert round(math.exp(bounds.TAIL_START[Fraction(3, 5)])) == 268337
+    assert round(math.exp(bounds.TAIL_START[Fraction(2, 3)])) == 59874
+
+
+def test_tail_majorant_coefficients():
+    # 7.482 (w + 2.139)^2 + 0.7 L'(w)^2 <= 8.3 (w + 2.2)^2, checked in exact arithmetic
+    assert bounds._TAIL_MAJORANT_HOLDS is True
+    with mpmath.workdps(40):
+        for w in (0, 1, 10, 12.5, 100, 1e6):
+            w = mpmath.mpf(w)
+            Lp = mpmath.mpf(45) / 62 * w + mpmath.mpf("1.56")
+            lhs = mpmath.mpf("7.482") * (w + mpmath.mpf("2.139")) ** 2 + mpmath.mpf("0.7") * Lp**2
+            assert lhs < mpmath.mpf("8.3") * (w + mpmath.mpf("2.2")) ** 2
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+def test_tail_start_makes_one_interval_exp(monkeypatch, form):
+    calls = []
+    real = RInterval.exp
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(RInterval, "exp", counted)
+    assert bounds._tail_start(form, 256) == bounds.TAIL_START[form]
+    assert len(calls) == 1
 
 
 def test_certify_threshold_rejects_other_forms():

@@ -197,12 +197,32 @@ def test_threshold_reports_match_pins(capsys):
     is meant to alter these reports must re-pin them the same way and say
     why.
     """
-    pins = json.loads(THRESHOLD_PINS.read_text())
-    assert len(pins) == 5
+    check_pins(capsys, THRESHOLD_PINS, 5)
+
+
+def check_pins(capsys, path: Path, count: int):
+    pins = json.loads(path.read_text())
+    assert len(pins) == count
     for pin in pins:
         code, out, _ = run(capsys, *pin["argv"])
         assert code == pin["exit_code"], pin["argv"]
         assert out == json.dumps(pin["report"], sort_keys=True, indent=2) + "\n", pin["argv"]
+
+
+COMMAND_PINS = Path(__file__).with_name("command_reports.json")
+
+
+def test_laurent_verify_symbols_reports_match_pins(capsys):
+    """Reports and exit codes of fixed laurent, verify and symbols argv, byte for byte.
+
+    Made like threshold_reports.json, at commit 16d1bec, before the
+    two-log options and the str and float interval constructors were
+    removed.  The set: laurent at a2 in {1100, 1200} and b' in {10, 0.06}
+    at 64, 128 and 256 bits; verify on two pairs of every parity-engine
+    case, on both declined hypotheses and on a pair the engine does not
+    cover, plus (1996, 1205) at cap 40 and 128 bits; and the two symbols.
+    """
+    check_pins(capsys, COMMAND_PINS, 28)
 
 
 # -- symbols -----------------------------------------------------------------------

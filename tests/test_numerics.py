@@ -312,6 +312,16 @@ def test_interval_endpoint_order_enforced():
         RInterval(2, 1)
 
 
+def test_interval_endpoints_from_ints_fractions_and_mpf_only():
+    # a decimal string or float would need its own rounding rule; nothing builds one
+    for x in ("0.1", 0.1):
+        with pytest.raises(TypeError):
+            RInterval(x, precision=64)
+    # a nan mpf point encloses nothing, so it widens to the whole line
+    iv = RInterval(mpmath.mpf("nan"), precision=64)
+    assert iv.lo == -mpmath.inf and iv.hi == mpmath.inf
+
+
 def _ln_endpoints(precision):
     return [(v.lo, v.hi) for v in (RInterval(k, precision=precision).ln() for k in range(2, 3000))]
 
