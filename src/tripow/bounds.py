@@ -16,18 +16,17 @@ pieces are:
   an analytic tail where the exponential wins over the squared log.  The
   tail starts at a stated w = ln ln(2m) per form (tail_from = e^w ~ 268,337
   for theorem 1.2, 59,874 for 1.3), certified on every call, not trusted.
+
+Every function that takes an RInterval works at that interval's precision.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 import functools
 import math
 from typing import NamedTuple
-
-import mpmath
-from mpmath.libmp import round_floor, to_int, to_rational as _to_rational
 
 from .numerics import DEFAULT_PRECISION, RInterval, ln_superfactorial
 from .triples import PrimPair, triple_of, two_adic_profile
@@ -98,24 +97,6 @@ def alpha1_constant(precision: int = DEFAULT_PRECISION) -> RInterval:
     return rho_log(precision).exp() * RInterval.pi(precision)
 
 
-def _imin(x: RInterval, y: RInterval) -> RInterval:
-    prec = max(x.precision, y.precision)
-    return RInterval(min(x.lo, y.lo), min(x.hi, y.hi), precision=prec)
-
-
-def _exact(x: mpmath.mpf) -> Fraction:
-    """Exact rational value of a finite mpf endpoint."""
-    return Fraction(*_to_rational(x._mpf_))
-
-
-def _certified_floor(x: RInterval) -> int:
-    lo = to_int(x.lo._mpf_, round_floor)
-    hi = to_int(x.hi._mpf_, round_floor)
-    if lo != hi:
-        raise ValueError("floor undetermined at this precision; raise precision")
-    return lo
-
-
 def y_upper_bound(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
     """Enclosure of min(ln n / ln 3, ln(2(m-1)) / ((alpha+1) ln 2)).
 
@@ -130,7 +111,7 @@ def y_upper_bound(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
     second = RInterval(2 * (m - 1), precision=precision).ln() / (
         RInterval(prof.alpha + 1, precision=precision) * ln2
     )
-    return _imin(first, second)
+    return first.min(second)
 
 
 def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> dict:
@@ -246,9 +227,6 @@ class LaurentInstance:
     b2: int
     a1: RInterval
     a2: RInterval
-    # ln_superfactorial(K - 1) by precision: nearly all of ln_b's time, and a
-    # laurent run asks for ln_b three times
-    _factorial_log_sums: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.K < 2 or self.L < 2:
@@ -272,24 +250,34 @@ class LaurentInstance:
     def g(self) -> Fraction:
         return Fraction(1, 4) - Fraction(self.N, 12 * self.R * self.S)
 
+    @property
+    def precision(self) -> int:
+        return max(self.rho.precision, self.mu.precision, self.a1.precision, self.a2.precision)
+
     def sigma(self) -> RInterval:
         one = RInterval(1, precision=self.mu.precision)
         return (one + 2 * self.mu - self.mu * self.mu) / 2
 
-    def ln_b(self, precision: int | None = None) -> RInterval:
+    def g_term(self) -> RInterval:
+        """g L (R a1 + S a2), the main term's last summand."""
+        g = RInterval(self.g, precision=self.precision)
+        return g * self.L * (self.R * self.a1 + self.S * self.a2)
+
+    @functools.cached_property
+    def _ln_superfactorial(self) -> RInterval:
+        # nearly all of ln_b's time, and a laurent run asks for ln_b three times
+        return ln_superfactorial(self.K - 1, self.precision)
+
+    def ln_b(self) -> RInterval:
         """ln of the height combination b, with the exact superfactorial term."""
-        prec = precision or max(self.a1.precision, self.a2.precision)
         lead = Fraction((self.R - 1) * self.b2 + (self.S - 1) * self.b1, 2)
         if lead <= 0:
             raise ValueError("b must be positive")
-        ln_lead = RInterval(lead, precision=prec).ln()
-        sums = self._factorial_log_sums
-        if prec not in sums:
-            sums[prec] = ln_superfactorial(self.K - 1, prec)
-        return ln_lead - sums[prec] * Fraction(2, self.K * self.K - self.K)
+        ln_lead = RInterval(lead, precision=self.precision).ln()
+        return ln_lead - self._ln_superfactorial * Fraction(2, self.K * self.K - self.K)
 
 
-def laurent_check(inst: LaurentInstance, precision: int | None = None):
+def laurent_check(inst: LaurentInstance):
     """Certify the main numeric condition of the two-logarithm theorem.
 
     The degree-one main term is
@@ -298,8 +286,9 @@ def laurent_check(inst: LaurentInstance, precision: int | None = None):
     main > epsilon(N); bound encloses rho^(-mu K L), the lower bound the
     theorem then gives for the linear form.
     """
-    prec = precision or max(inst.rho.precision, inst.a1.precision, inst.a2.precision)
-    if not (_exact(inst.mu.lo) >= Fraction(1, 3) and _exact(inst.mu.hi) <= 1):
+    prec = inst.precision
+    mu_lo, mu_hi = inst.mu.exact_ends()
+    if not (mu_lo >= Fraction(1, 3) and mu_hi <= 1):
         raise ValueError("requires 1/3 <= mu <= 1")
     if not inst.rho.lo > 1:
         raise ValueError("requires rho > 1")
@@ -309,10 +298,8 @@ def laurent_check(inst: LaurentInstance, precision: int | None = None):
     main = (
         RInterval(K, precision=prec) * (sigma * L - 1) * ln_rho
         - 2 * RInterval(inst.N, precision=prec).ln()
-        - (K - 1) * inst.ln_b(prec)
-        - RInterval(inst.g, precision=prec)
-        * L
-        * (inst.R * inst.a1 + inst.S * inst.a2)
+        - (K - 1) * inst.ln_b()
+        - inst.g_term()
     )
     eps = laurent_epsilon(inst.N, prec)
     ok = eps.strictly_less(main)
@@ -333,11 +320,11 @@ def two_log_instance(a2, bprime, precision: int = DEFAULT_PRECISION) -> LaurentI
     a1_iv = alpha1_constant(precision)
     L = corollary_L(bp_iv)
     kla = RInterval(KAPPA, precision=precision) * L * a1_iv * a2_iv
-    K = 1 + _certified_floor(kla)
-    R2 = 1 + _certified_floor(((K - 1) * L * a2_iv / a1_iv).sqrt())
-    S2 = 1 + _certified_floor(((K - 1) * L * a1_iv / a2_iv).sqrt())
+    K = 1 + kla.floor()
+    R2 = 1 + ((K - 1) * L * a2_iv / a1_iv).sqrt().floor()
+    S2 = 1 + ((K - 1) * L * a1_iv / a2_iv).sqrt().floor()
     weight = 1 / (1 / a2_iv + 1 / a1_iv)
-    b = max(1, _certified_floor(bp_iv * weight))
+    b = max(1, (bp_iv * weight).floor())
     return LaurentInstance(
         K=K,
         L=L,
@@ -356,35 +343,27 @@ def two_log_instance(a2, bprime, precision: int = DEFAULT_PRECISION) -> LaurentI
 
 def lemma_parameter_rechecks(inst: LaurentInstance, bprime) -> dict[str, bool]:
     """Numeric rechecks of the two closed-form bounds the corollary uses."""
-    prec = inst.a1.precision
+    prec = inst.precision
     bp = bprime if isinstance(bprime, RInterval) else RInterval(bprime, precision=prec)
-    lhs = (
-        RInterval(inst.g, precision=prec)
-        * inst.L
-        * (inst.R * inst.a1 + inst.S * inst.a2)
-    )
     rhs = RInterval(inst.K, precision=prec) * (
         RInterval(Fraction(31, 20), precision=prec) * inst.L
         + RInterval(Fraction(612, 10000), precision=prec)
     )
-    gl_ok = lhs.strictly_less(rhs)
+    gl_ok = inst.g_term().strictly_less(rhs)
     lnb_ok = not (bp.ln() + RInterval(Fraction(23264, 10000), precision=prec)).strictly_less(
-        inst.ln_b(prec)
+        inst.ln_b()
     )
     return {"gL_term_below_closed_form": gl_ok, "ln_b_below_closed_form": lnb_ok}
 
 
-def _unfloored_L(bprime: RInterval, precision: int) -> int:
+def _unfloored_L(bprime: RInterval) -> int:
     """floor((45/62)(ln bprime + 5.49)) + 1, before the floor at 3."""
-    return 1 + _certified_floor(
-        RInterval(L_SLOPE, precision=precision)
-        * (bprime.ln() + RInterval(Fraction(549, 100), precision=precision))
-    )
+    return 1 + (L_SLOPE * (bprime.ln() + Fraction(549, 100))).floor()
 
 
 def corollary_L(bprime: RInterval) -> int:
     """L = floor((45/62)(ln bprime + 5.49)) + 1, floored at 3."""
-    return max(3, _unfloored_L(bprime, bprime.precision))
+    return max(3, _unfloored_L(bprime))
 
 
 @dataclass(frozen=True)
@@ -409,9 +388,9 @@ def two_log_lower_bound(
     floor_a2 = RInterval(1000, precision=precision) + a1_iv
     if not (a2_iv.lo >= floor_a2.hi):
         raise HypothesisError("a2 >= 1000 + a1")
-    if not (_exact(bp_iv.lo) > Fraction(56, 1000)):
+    if not bp_iv.exact_ends()[0] > Fraction(56, 1000):
         raise HypothesisError("bprime > 0.056")
-    raw = _unfloored_L(bp_iv, precision)
+    raw = _unfloored_L(bp_iv)
     L = max(3, raw)
     lnbp = bp_iv.ln()
     c1 = RInterval(Fraction(3741, 1000), precision=precision)
@@ -471,48 +450,44 @@ def _ln(x):
     return x.ln() if isinstance(x, RInterval) else math.log(x)
 
 
-def _rhs_pieces(t, with_correction: bool, k: _RhsConsts):
+def _rhs_pieces(t, k: _RhsConsts):
     s = t + k.ln2  # ln(2m) with t = ln m
     ln_s = _ln(s)
-    G = (ln_s if with_correction else s) + k.g_shift
+    G = ln_s + k.g_shift
     Lp = k.slope * ln_s + k.l_shift
     return s, G, Lp
 
 
-def _rhs(t, with_correction: bool, k: _RhsConsts):
+def _rhs(t, k: _RhsConsts):
     """The right-hand side at t, over the number type of t and k."""
-    s, G, Lp = _rhs_pieces(t, with_correction, k)
+    s, G, Lp = _rhs_pieces(t, k)
     term1 = k.lead * G * G * (k.one + k.shift / s)
     term2 = k.l_coeff * Lp / t
     term3 = (_ln(k.log_coeff * Lp) + k.sq_coeff * Lp * Lp * (t + k.shift)) / t
     return term1 + term2 + term3
 
 
-def threshold_rhs(
-    t, with_correction: bool = True, precision: int = DEFAULT_PRECISION
-) -> RInterval:
+def threshold_rhs(t: RInterval) -> RInterval:
     """Right-hand side of the final inequality, in t = ln m.
 
     7.482 (F + 2.139)^2 (1 + 70/ln(2m)) + (31/15) L'/t
       + (ln(6.29 L') + 0.7 L'^2 (t + 70)) / t
-    with L' = (45/62) ln ln(2m) + 1.56.  The corrected form takes
-    F = ln ln(2m), matching the derivation through ln b'; the literal
-    form F = ln(2m) is kept for comparison and overwhelms any t^q.
+    with L' = (45/62) ln ln(2m) + 1.56 and the corrected F = ln ln(2m),
+    matching the derivation through ln b'.
 
     _locate_crossover evaluates the same formula (_rhs) in floats.  That
     value only picks which grid cell crossover certifies; every sign and
     verdict rests on this interval enclosure.
     """
-    t_iv = t if isinstance(t, RInterval) else RInterval(t, precision=precision)
-    if not t_iv.lo > 1000:
+    if not t.lo > 1000:
         raise ValueError("requires t = ln m > 1000")
-    return _rhs(t_iv, with_correction, _rhs_consts(max(precision, t_iv.precision)))
+    return _rhs(t, _rhs_consts(t.precision))
 
 
-def _rhs_derivative(t: RInterval, precision: int) -> RInterval:
-    """Enclosure of d/dt of the corrected right-hand side on the interval t."""
-    k = _rhs_consts(precision)
-    s, G, Lp = _rhs_pieces(t, True, k)
+def _rhs_derivative(t: RInterval) -> RInterval:
+    """Enclosure of d/dt of the right-hand side on the interval t."""
+    k = _rhs_consts(t.precision)
+    s, G, Lp = _rhs_pieces(t, k)
     Lp_t = k.slope / s
     d1 = k.lead * (k.two * G * (k.one + k.shift / s) / s - k.shift * G * G / (s * s))
     d2 = k.l_coeff * (Lp_t / t - Lp / (t * t))
@@ -532,11 +507,11 @@ class ThresholdCert:
     segments: int = 0
 
 
-def _threshold_sign(form: Fraction, t: RInterval, precision: int) -> int:
+def _threshold_sign(form: Fraction, t: RInterval) -> int:
     """+1 if t^form > RHS(t) is certified at t, -1 if t^form < RHS(t) is,
     and 0 if the intervals overlap (undecided at this precision)."""
     lhs = t.pow_frac(form)
-    rhs = threshold_rhs(t, True, precision)
+    rhs = threshold_rhs(t)
     if rhs.strictly_less(lhs):
         return 1
     if lhs.strictly_less(rhs):
@@ -605,8 +580,8 @@ def _tail_start(form: Fraction, precision: int) -> Fraction | None:
     return None
 
 
-def certify_threshold(form, t0, precision: int = THRESHOLD_PRECISION) -> ThresholdCert:
-    """Certify t^form > RHS(t) for every t >= t0 (corrected RHS).
+def certify_threshold(form, t0: RInterval) -> ThresholdCert:
+    """Certify t^form > RHS(t) for every t >= t0, at t0's precision.
 
     Strict interval comparison at t0, then interval positivity of the
     derivative of t^form - RHS(t) along a geometric grid (ratio
@@ -616,31 +591,31 @@ def certify_threshold(form, t0, precision: int = THRESHOLD_PRECISION) -> Thresho
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
-    t0_iv = t0 if isinstance(t0, RInterval) else RInterval(t0, precision=precision)
-    cert = ThresholdCert(t0=t0_iv)
-    if _threshold_sign(form, t0_iv, precision) != 1:
-        cert.failing_point = float(t0_iv.mid)
+    precision = t0.precision
+    cert = ThresholdCert(t0=t0)
+    if _threshold_sign(form, t0) != 1:
+        cert.failing_point = float(t0.mid)
         return cert
 
     w_tail = _tail_start(form, precision)
     if w_tail is None:
-        cert.failing_point = float(t0_iv.mid)
+        cert.failing_point = float(t0.mid)
         return cert
     tail_start = RInterval(w_tail, precision=precision).exp()
     cert.tail_from = float(tail_start.lo)
 
-    lo = t0_iv.lo
-    if lo < tail_start.hi:
+    lo = t0.exact_ends()[0]
+    end = tail_start.exact_ends()[1]
+    if lo < end:
         form_iv = RInterval(form, precision=precision)
         slope_exp = RInterval(form - 1, precision=precision)
         # geometric grid [t0, tail start]; derivative must stay positive
-        points = [_exact(lo)]
-        end = _exact(tail_start.hi)
+        points = [lo]
         while points[-1] < end:
             points.append(points[-1] * GRID_RATIO)
         for i in range(len(points) - 1):
             seg = RInterval(points[i], points[i + 1], precision=precision)
-            deriv = form_iv * seg.pow_frac(slope_exp) - _rhs_derivative(seg, precision)
+            deriv = form_iv * seg.pow_frac(slope_exp) - _rhs_derivative(seg)
             if not deriv.strictly_positive():
                 cert.failing_point = float(points[i])
                 return cert
@@ -670,7 +645,7 @@ def _locate_crossover(form: Fraction) -> float:
     q = float(form)
 
     def g(u: float) -> float:
-        return q * u - math.log(_rhs(math.exp(u), True, _RHS_FLOATS))
+        return q * u - math.log(_rhs(math.exp(u), _RHS_FLOATS))
 
     start = math.log(CROSSOVER_START)
     u0, g0 = start, g(start)
@@ -713,7 +688,7 @@ def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
         raise ValueError("form must be 3/5 or 2/3")
 
     def sign_at(t: Fraction) -> int:
-        sign = _threshold_sign(form, RInterval(t, precision=precision), precision)
+        sign = _threshold_sign(form, RInterval(t, precision=precision))
         if sign == 0:
             raise ValueError("crossover undecided at this precision; raise precision")
         return sign

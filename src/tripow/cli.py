@@ -23,8 +23,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from . import __version__
 from .bounds import (
     HypothesisError,
@@ -82,7 +80,8 @@ class RunConfig:
 
 
 def _iv_json(v: RInterval) -> dict:
-    return {"lo": mpmath.nstr(v.lo, 24), "hi": mpmath.nstr(v.hi, 24)}
+    lo, hi = v.decimal_ends(24)
+    return {"lo": lo, "hi": hi}
 
 
 def _constraints_json(constraints) -> list:
@@ -240,7 +239,7 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
         },
     )
     res = report["results"]
-    cert = certify_threshold(form, t0, precision=prec)
+    cert = certify_threshold(form, t0)
     res["certificate"] = {
         "verdict": cert.verdict,
         "t0": _iv_json(cert.t0),
@@ -315,7 +314,7 @@ def cmd_laurent(config: RunConfig) -> tuple[dict, int]:
         "b1": inst.b1,
         "b2": inst.b2,
         "g": str(inst.g),
-        "ln_b": _iv_json(inst.ln_b(prec)),
+        "ln_b": _iv_json(inst.ln_b()),
     }
     res["condition_holds"] = ok
     res["margin"] = _iv_json(margin)

@@ -19,14 +19,12 @@ import math
 import mpmath
 from mpmath import make_mpf as _make_mpf
 from mpmath.libmp import (
-    fnan,
-    finf,
-    fninf,
     fone,
     from_int,
     fzero,
     mpf_add,
     mpf_gt,
+    mpf_lt,
     mpf_neg,
     mpf_pi,
     mpf_shift,
@@ -42,7 +40,8 @@ from mpmath.libmp import (
     mpi_sub,
     round_ceiling,
     round_floor,
-    to_rational as _to_rational,
+    to_int,
+    to_rational,
 )
 
 __all__ = [
@@ -390,7 +389,9 @@ def g_divexact(x: GaussianInt, d: GaussianInt) -> GaussianInt:
 # the precision passed to them.  Each RInterval carries that precision, so
 # no result depends on mpmath's process-global settings or on other threads.
 # These are the functions mpmath.iv itself calls with its global precision,
-# so the endpoints are the same bits it would give at that precision.
+# so the endpoints are the same bits it would give at that precision.  Only
+# RInterval decodes them: other modules ask it for exact rationals, floors or
+# decimal strings, and never import mpmath.
 
 
 def _int_mpi(n: int, prec: int) -> tuple:
@@ -405,10 +406,15 @@ def _to_mpi(x, prec: int) -> tuple:
         return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
     if isinstance(x, int):
         return _int_mpi(x, prec)
-    if not isinstance(x, mpmath.mpf):
-        raise TypeError(f"cannot build interval from {type(x).__name__}")
-    # a nan point encloses nothing; widen it to the whole line, as mpmath.iv does
-    return (fninf, finf) if x._mpf_ == fnan else (x._mpf_, x._mpf_)
+    raise TypeError(f"cannot build interval from {type(x).__name__}")
+
+
+def _exact(v: tuple) -> Fraction | float:
+    """A raw endpoint as an exact rational, or as math.inf or -math.inf."""
+    sign, man, exp, _ = v
+    if not man and exp:  # libmp's infinities, which to_rational would read as 0
+        return -math.inf if sign else math.inf
+    return Fraction(*to_rational(v))
 
 
 class RInterval:
@@ -458,27 +464,39 @@ class RInterval:
         """The exact midpoint (lo + hi) / 2."""
         return _make_mpf(mpf_shift(mpf_add(*self._v), -1))
 
+    def exact_ends(self) -> tuple[Fraction | float, Fraction | float]:
+        """(lo, hi) as exact rationals; an infinite end is math.inf or -math.inf."""
+        return _exact(self._v[0]), _exact(self._v[1])
+
+    def decimal_ends(self, digits: int) -> tuple[str, str]:
+        """(lo, hi) as decimal strings of at most ``digits`` significant digits."""
+        return mpmath.nstr(self.lo, digits), mpmath.nstr(self.hi, digits)
+
     def __repr__(self) -> str:
-        return f"RInterval[{mpmath.nstr(self.lo, 20)}, {mpmath.nstr(self.hi, 20)}]"
+        lo, hi = self.decimal_ends(20)
+        return f"RInterval[{lo}, {hi}]"
 
     # -- queries -----------------------------------------------------------
 
     def contains(self, x) -> bool:
         if isinstance(x, (Fraction, int)):
-            x = Fraction(x)
-            lo, hi = self.lo, self.hi
-            if mpmath.isfinite(lo):
-                if Fraction(*_to_rational(lo._mpf_)) > x:
-                    return False
-            elif lo > 0:
-                return False
-            if mpmath.isfinite(hi):
-                if Fraction(*_to_rational(hi._mpf_)) < x:
-                    return False
-            elif hi < 0:
-                return False
-            return True
+            lo, hi = self.exact_ends()
+            return lo <= x <= hi
         return self.lo <= x <= self.hi
+
+    def floor(self) -> int:
+        """The floor of every point; ValueError if the endpoints' floors differ."""
+        lo, hi = (to_int(v, round_floor) for v in self._v)
+        if lo != hi:
+            raise ValueError("floor undetermined at this precision; raise precision")
+        return lo
+
+    def min(self, other: "RInterval") -> "RInterval":
+        """Enclosure of min(x, y) for x in self and y in other."""
+        (a_lo, a_hi), (b_lo, b_hi) = self._v, other._v
+        lo = b_lo if mpf_lt(b_lo, a_lo) else a_lo
+        hi = b_hi if mpf_lt(b_hi, a_hi) else a_hi
+        return RInterval._wrap((lo, hi), max(self.precision, other.precision))
 
     def strictly_less(self, other: "RInterval") -> bool:
         return self.hi < other.lo

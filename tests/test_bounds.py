@@ -167,13 +167,13 @@ def test_worked_instance_ln_b_against_loggamma_sum(worked):
             total += mpmath.loggamma(k + 1)
         lead = mpmath.mpf((R - 1) * b1 + (S - 1) * b1) / 2
         val = mpmath.log(lead) - 2 * total / (K * K - K)
-    iv = worked.ln_b(PREC)
+    iv = worked.ln_b()
     assert iv.lo <= val <= iv.hi
     assert_within(iv, Fraction(46137, 10000), Fraction(1, 1000))
 
 
 def test_worked_instance_main_condition(worked):
-    ok, margin, bound = laurent_check(worked, PREC)
+    ok, margin, bound = laurent_check(worked)
     assert ok
     assert_within(margin, Fraction(143161, 10), Fraction(1, 1))
     # bound = rho^(-mu K L): its log is -(2/3) * 136068 * 3.1
@@ -203,7 +203,7 @@ def test_instance_validation():
         LaurentInstance(K=3, L=3, R1=0, R2=2, S1=1, S2=2, **kw)
     degenerate = LaurentInstance(K=3, L=3, R1=1, R2=1, S1=1, S2=1, **kw)
     with pytest.raises(ValueError, match="positive"):
-        degenerate.ln_b(PREC)
+        degenerate.ln_b()
 
 
 def test_small_instance_fails_main_condition():
@@ -221,7 +221,7 @@ def test_small_instance_fails_main_condition():
         a1=alpha1_constant(PREC),
         a2=riv(1100),
     )
-    ok, margin, _ = laurent_check(inst, PREC)
+    ok, margin, _ = laurent_check(inst)
     assert not ok
     assert margin.strictly_less(riv(0))
 
@@ -231,10 +231,10 @@ def test_mu_and_rho_validation():
                 a1=alpha1_constant(PREC), a2=riv(1100))
     bad_mu = LaurentInstance(rho=rho_log(PREC).exp(), mu=riv(Fraction(1, 4)), **base)
     with pytest.raises(ValueError, match="mu"):
-        laurent_check(bad_mu, PREC)
+        laurent_check(bad_mu)
     bad_rho = LaurentInstance(rho=riv(1), mu=riv(MU), **base)
     with pytest.raises(ValueError, match="rho"):
-        laurent_check(bad_rho, PREC)
+        laurent_check(bad_rho)
 
 
 # -- the specialized lower bound --------------------------------------------------
@@ -344,7 +344,7 @@ def rhs_oracle(t, corrected=True):
 
 def test_threshold_rhs_values():
     t1 = Fraction(25316463, 100)
-    iv = threshold_rhs(t1, True, 256)
+    iv = threshold_rhs(riv(t1, 256))
     assert abs(float(iv.mid) - float(rhs_oracle("253164.63"))) < 1e-9
     assert_within(iv, Fraction(16696410, 10000), Fraction(1, 1000))
     # t^(3/5) already clears it at this point
@@ -352,24 +352,24 @@ def test_threshold_rhs_values():
     assert iv.strictly_less(lhs)
 
     t2 = Fraction(5280520, 100)
-    iv2 = threshold_rhs(t2, True, 256)
+    iv2 = threshold_rhs(riv(t2, 256))
     assert_within(iv2, Fraction(13313722, 10000), Fraction(1, 1000))
     lhs2 = RInterval(t2, precision=256).pow_frac(Fraction(2, 3))
     assert iv2.strictly_less(lhs2)
 
 
 def test_threshold_rhs_uncorrected_form_explodes():
-    iv = threshold_rhs(Fraction(2531646, 10), False, 256)
-    val = float(iv.mid)
+    # the literal form F = ln(2m), which no report uses, written out in mpmath
+    val = rhs_oracle("253164.6", corrected=False)
     assert abs(val - 4.7968e11) < 1e8
     # and no power t^q with q < 1 can ever clear it at this scale
     lhs = RInterval(Fraction(2531646, 10), precision=256).pow_frac(Fraction(2, 3))
-    assert lhs.strictly_less(iv)
+    assert lhs.hi < val
 
 
 def test_threshold_rhs_requires_large_argument():
     with pytest.raises(ValueError, match="1000"):
-        threshold_rhs(Fraction(1000), True, 256)
+        threshold_rhs(riv(1000, 256))
 
 
 def ln_pow10(exp10: int) -> RInterval:
@@ -405,12 +405,12 @@ def test_certify_threshold_fails_where_t0_is_undecided(monkeypatch):
     t0 = ln_pow10(109948)
     real = bounds.threshold_rhs
 
-    def blurred(t, with_correction=True, precision=256):
-        out = real(t, with_correction, precision)
+    def blurred(t):
+        out = real(t)
         return out + RInterval(-10**6, 10**6, precision=out.precision)
 
     monkeypatch.setattr(bounds, "threshold_rhs", blurred)
-    assert bounds._threshold_sign(Fraction(3, 5), t0, 256) == 0
+    assert bounds._threshold_sign(Fraction(3, 5), t0) == 0
     cert = certify_threshold(Fraction(3, 5), t0)
     assert not cert.verdict and cert.segments == 0
     assert cert.failing_point == pytest.approx(253164.6258, abs=0.01)
@@ -495,7 +495,7 @@ def _crossover_by_bisection(form, precision: int = 256) -> RInterval:
     def sign_at(t: Fraction) -> int:
         x = RInterval(t, precision=precision)
         lhs = x.pow_frac(form)
-        rhs = threshold_rhs(x, True, precision)
+        rhs = threshold_rhs(x)
         if rhs.strictly_less(lhs):
             return 1
         if lhs.strictly_less(rhs):
@@ -525,29 +525,25 @@ def _crossover_by_bisection(form, precision: int = 256) -> RInterval:
     return RInterval(lo, hi, precision=precision)
 
 
-def exact_ends(iv: RInterval) -> tuple[Fraction, Fraction]:
-    return bounds._exact(iv.lo), bounds._exact(iv.hi)
-
-
 CROSSOVER_PRECISIONS = (64, 96, 128, 192, 256, 384, 512)
 
 
 @pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
 @pytest.mark.parametrize("precision", CROSSOVER_PRECISIONS)
 def test_crossover_matches_bisection(form, precision):
-    assert exact_ends(crossover(form, precision)) == exact_ends(
-        _crossover_by_bisection(form, precision)
+    assert crossover(form, precision).exact_ends() == (
+        _crossover_by_bisection(form, precision).exact_ends()
     )
 
 
 @pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
 @pytest.mark.parametrize("precision", (64, 256))
 def test_crossover_bracket_signs_certified(form, precision):
-    lo, hi = exact_ends(crossover(form, precision))
+    lo, hi = crossover(form, precision).exact_ends()
     assert 0 < hi - lo <= 1
     for t, below in ((lo, True), (hi, False)):
         x = RInterval(t, precision=precision)
-        lhs, rhs = x.pow_frac(form), threshold_rhs(x, True, precision)
+        lhs, rhs = x.pow_frac(form), threshold_rhs(x)
         assert (lhs.strictly_less(rhs) if below else rhs.strictly_less(lhs))
         # and the mpmath oracle agrees on the side
         with mpmath.workdps(60):
@@ -558,11 +554,11 @@ def test_crossover_bracket_signs_certified(form, precision):
 
 def test_crossover_never_nudges(monkeypatch, capsys):
     # widen the RHS at the bracket's upper end, where the bisection also lands
-    _, hi = exact_ends(_crossover_by_bisection(Fraction(3, 5), 256))
+    _, hi = _crossover_by_bisection(Fraction(3, 5), 256).exact_ends()
     real = bounds.threshold_rhs
 
-    def blurred(t, with_correction=True, precision=256):
-        out = real(t, with_correction, precision)
+    def blurred(t):
+        out = real(t)
         if isinstance(t, RInterval) and t.contains(hi):
             out = out + RInterval(-1, 1, precision=out.precision)
         return out
@@ -585,9 +581,9 @@ def test_crossover_makes_three_rhs_calls(monkeypatch, form, precision):
     calls = []
     real = bounds.threshold_rhs
 
-    def counted(t, with_correction=True, precision=256):
+    def counted(t):
         calls.append(t)
-        return real(t, with_correction, precision)
+        return real(t)
 
     monkeypatch.setattr(bounds, "threshold_rhs", counted)
     crossover(form, precision)
@@ -606,12 +602,15 @@ def test_locate_crossover_builds_no_interval(monkeypatch, form):
     assert crossover(form, 256).contains(Fraction(t))
 
 
-@pytest.mark.parametrize("corrected", (True, False))
-@pytest.mark.parametrize("t", ("1100", "5000", "47387.68", "229843.5", "1e6", "1e15"))
-def test_float_rhs_matches_interval_rhs(t, corrected):
+# the ids keep the "-True" of the corrected-form parameter this test once had,
+# so its results line up with earlier runs
+@pytest.mark.parametrize(
+    "t", ("1100", "5000", "47387.68", "229843.5", "1e6", "1e15"), ids=lambda t: f"{t}-True"
+)
+def test_float_rhs_matches_interval_rhs(t):
     exact = Fraction(t)
-    approx = bounds._rhs(float(exact), corrected, bounds._RHS_FLOATS)
-    mid = float(threshold_rhs(exact, corrected, 256).mid)
+    approx = bounds._rhs(float(exact), bounds._RHS_FLOATS)
+    mid = float(threshold_rhs(riv(exact, 256)).mid)
     assert abs(approx - mid) <= 1e-12 * mid
 
 
@@ -636,4 +635,4 @@ def test_rhs_constants_table_is_bit_equal_to_fresh_intervals(precision):
     for name, iv in expected.items():
         got = getattr(table, name)
         assert got.precision == precision
-        assert exact_ends(got) == exact_ends(iv), name
+        assert got.exact_ends() == iv.exact_ends(), name

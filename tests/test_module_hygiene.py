@@ -64,3 +64,18 @@ def test_every_import_is_used(path):
 def test_all_lists_only_own_definitions(path):
     tree = parse(path)
     assert sorted(set(exported_names(tree)) - defined_names(tree)) == []
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in MODULES if p.name != "numerics.py"], ids=lambda p: p.name
+)
+def test_only_numerics_imports_mpmath(path):
+    # RInterval owns its precision and endpoint format, so no other module
+    # needs mpmath
+    modules = set()
+    for node in ast.walk(parse(path)):
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+    assert sorted(m for m in modules if m.split(".")[0] == "mpmath") == []

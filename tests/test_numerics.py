@@ -312,15 +312,71 @@ def test_interval_endpoint_order_enforced():
         RInterval(2, 1)
 
 
-def test_interval_endpoints_from_ints_fractions_and_mpf_only():
-    # a decimal string or float would need its own rounding rule; nothing builds one
-    for x in ("0.1", 0.1):
+def test_interval_endpoints_from_ints_and_fractions_only():
+    # a decimal string or float would need its own rounding rule, and an mpf
+    # point its own precision; nothing builds one
+    for x in ("0.1", 0.1, mpmath.mpf("0.1"), mpmath.mpf("nan")):
         with pytest.raises(TypeError):
             RInterval(x, precision=64)
-    # a nan mpf point encloses nothing, so it widens to the whole line
-    iv = RInterval(mpmath.mpf("nan"), precision=64)
-    assert iv.lo == -mpmath.inf and iv.hi == mpmath.inf
 
+
+@pytest.mark.parametrize("precision", (64, 512))
+def test_exact_ends_is_the_libmp_decode(precision):
+    rng = random.Random(precision)
+    for _ in range(200):
+        q = Fraction(rng.randrange(-10**12, 10**12), rng.randrange(1, 10**9))
+        for iv in (RInterval(q, precision=precision), RInterval(abs(q) + 1, precision=precision).ln()):
+            decoded = tuple(
+                Fraction(*mpmath.libmp.to_rational(end._mpf_)) for end in (iv.lo, iv.hi)
+            )
+            assert iv.exact_ends() == decoded
+    # an infinite end reads as a float infinity, not as libmp's 0/2^k
+    whole = RInterval(1, precision=precision) / RInterval(-1, 1, precision=precision)
+    assert whole.exact_ends() == (-math.inf, math.inf)
+    assert whole.contains(Fraction(10**100)) and whole.contains(-(10**100))
+
+
+def test_floor_of_a_decided_interval():
+    assert RInterval(Fraction(7, 2), precision=64).floor() == 3
+    assert RInterval(Fraction(-7, 2), precision=64).floor() == -4
+    assert RInterval(5, precision=64).floor() == 5
+    assert RInterval(10, precision=256).ln().floor() == 2
+    assert RInterval(Fraction(1, 3), Fraction(2, 3), precision=64).floor() == 0
+
+
+def test_floor_straddling_an_integer_asks_for_precision():
+    with pytest.raises(ValueError, match="raise precision"):
+        RInterval(Fraction(1, 2), Fraction(3, 2), precision=64).floor()
+    # a point just below an integer, which 64 bits round up to it
+    with pytest.raises(ValueError, match="raise precision"):
+        RInterval(1 - Fraction(1, 2**80), precision=64).floor()
+    assert RInterval(1 - Fraction(1, 2**80), precision=128).floor() == 0
+
+
+def test_min_encloses_pointwise_min():
+    rng = random.Random(7)
+    pairs = [
+        ((0, 2), (1, 3)),  # overlapping
+        ((0, 10), (2, 3)),  # nested
+        ((-5, -4), (1, 2)),  # disjoint, first below
+        ((6, 7), (-3, 1)),  # disjoint, second below
+        ((Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 3), 1)),  # shared end
+    ]
+    for (a_lo, a_hi), (b_lo, b_hi) in pairs:
+        for pa, pb in ((64, 64), (64, 512), (512, 64)):
+            x = RInterval(a_lo, a_hi, precision=pa)
+            y = RInterval(b_lo, b_hi, precision=pb)
+            m = x.min(y)
+            assert m.precision == max(pa, pb)
+            for _ in range(50):
+                u = Fraction(a_lo) + (Fraction(a_hi) - Fraction(a_lo)) * Fraction(rng.randrange(101), 100)
+                v = Fraction(b_lo) + (Fraction(b_hi) - Fraction(b_lo)) * Fraction(rng.randrange(101), 100)
+                assert m.contains(min(u, v))
+            # and it is no wider than the two operands allow
+            assert m.exact_ends() == (
+                min(x.exact_ends()[0], y.exact_ends()[0]),
+                min(x.exact_ends()[1], y.exact_ends()[1]),
+            )
 
 def _ln_endpoints(precision):
     return [(v.lo, v.hi) for v in (RInterval(k, precision=precision).ln() for k in range(2, 3000))]
