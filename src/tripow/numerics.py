@@ -52,11 +52,9 @@ __all__ = [
     "PSI_13",
     "is_prime",
     "is_prime_power",
-    "factorize",
     "GaussianInt",
     "g_pow",
     "g_divmod",
-    "g_gcd",
     "RInterval",
     "ln_superfactorial",
     "DEFAULT_PRECISION",
@@ -122,7 +120,7 @@ def integer_nth_root(N: int, n: int) -> tuple[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Primes and factoring
+# Primes
 
 
 def primes_up_to(limit: int) -> list[int]:
@@ -201,61 +199,6 @@ def is_prime_power(n: int) -> bool:
         if exact and is_prime(root):
             return True
     return False
-
-
-def _brent_rho(n: int) -> int:
-    """A proper divisor of an odd composite n that is not a perfect square.
-
-    Pollard's rho with Brent's cycle detection, which moves the saved
-    point up to the running one after each power of two steps (R. Brent,
-    An improved Monte Carlo factorization algorithm, BIT 20, 1980).  The
-    maps x^2 + c are tried for c = 1, 2, ... from x = 2, so the result is
-    deterministic.
-    """
-    c = 0
-    while True:
-        c += 1
-        x = y = 2
-        power = steps = 1
-        g = 1
-        while g == 1:
-            if steps == power:
-                x, power, steps = y, 2 * power, 0
-            y = (y * y + c) % n
-            steps += 1
-            g = math.gcd(x - y, n)
-        if g != n:
-            return g
-
-
-_FACTOR_LIMIT = 10**18
-
-
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization {p: e} of 1 <= n <= 10^18, primes ascending.
-
-    Trial division by the primes below 200, then, on each cofactor,
-    is_prime, a perfect-square check and Brent's rho.
-    """
-    if n < 1:
-        raise ValueError("factorize requires n >= 1")
-    if n > _FACTOR_LIMIT:
-        raise ValueError("refusing to factor n > 1e18")
-    out: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            out[p] = val_p(n, p)
-            n //= p ** out[p]
-    pending = [n] if n > 1 else []
-    while pending:
-        m = pending.pop()
-        if is_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        r = math.isqrt(m)
-        d = r if r * r == m else _brent_rho(m)
-        pending += (d, m // d)
-    return dict(sorted(out.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,47 +281,6 @@ def g_divmod(x: GaussianInt, m: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
     q = GaussianInt(nearest(t.re, nm), nearest(t.im, nm))
     r = x - q * m
     return q, r
-
-
-def g_mod(x: GaussianInt, m: GaussianInt) -> GaussianInt:
-    return g_divmod(x, m)[1]
-
-
-def g_gcd(x: GaussianInt, m: GaussianInt) -> GaussianInt:
-    """A greatest common divisor in Z[i] (unique up to units)."""
-    while not m.is_zero():
-        x, m = m, g_mod(x, m)
-    return x
-
-
-def g_powmod(g: GaussianInt, e: int, m: GaussianInt) -> GaussianInt:
-    if e < 0:
-        raise ValueError("negative exponent")
-    result = g_mod(ONE, m)
-    base = g_mod(g, m)
-    while e:
-        if e & 1:
-            result = g_mod(result * base, m)
-        base = g_mod(base * base, m)
-        e >>= 1
-    return result
-
-
-def g_divides(d: GaussianInt, x: GaussianInt) -> bool:
-    """True iff d | x exactly in Z[i]."""
-    if d.is_zero():
-        return x.is_zero()
-    nd = d.norm()
-    t = x * d.conj()
-    return t.re % nd == 0 and t.im % nd == 0
-
-
-def g_divexact(x: GaussianInt, d: GaussianInt) -> GaussianInt:
-    nd = d.norm()
-    t = x * d.conj()
-    if t.re % nd or t.im % nd:
-        raise ValueError(f"{d} does not divide {x}")
-    return GaussianInt(t.re // nd, t.im // nd)
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,17 @@ exceptional-candidate sense have x, y, z all even?  Each applicable rule
 is verified live on the pair (Jacobi characters, residue cycle
 exhaustion, quartic symbols over Z[i]); the verdict records the full
 rule chain and whether the y > 1 hypothesis was consumed.
+
+Both residue symbols are computed without factoring, by Euclid-style
+loops: jacobi by quadratic reciprocity, quartic_symbol by biquadratic
+reciprocity and its supplementary laws, which its docstring states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .numerics import (
-    GaussianInt,
-    UNITS,
-    factorize,
-    g_gcd,
-    g_divides,
-    g_divexact,
-    g_powmod,
-    is_prime,
-    val_p,
-)
+from .numerics import GaussianInt, UNITS, g_divmod, val_p
 from .triples import PrimPair, triple_of
 
 __all__ = [
@@ -93,61 +87,34 @@ class QuarticValue:
         return ("1", "i", "-1", "-i")[self.k]
 
 
-def _sqrt_minus_one(p: int) -> int:
-    """A square root of -1 modulo a prime p = 1 (mod 4).
+def _primary(g: GaussianInt) -> tuple[GaussianInt, int]:
+    """(u, k) with u = i^-k g primary, i.e. (u.re, u.im) = (1, 0) or (3, 2) mod 4.
 
-    g^((p-1)/4) squares to g^((p-1)/2) = (g/p) = -1 for the least
-    quadratic non-residue g.
+    Exactly one associate of an odd-norm g is primary.
     """
-    g = 2
-    while jacobi(g, p) != -1:
-        g += 1
-    return pow(g, (p - 1) // 4, p)
-
-
-def _gaussian_prime_factors(g: GaussianInt) -> list[tuple[GaussianInt, int]]:
-    """Gaussian prime factorization of an odd-norm g, via its norm."""
-    out: list[tuple[GaussianInt, int]] = []
-    rem = g
-    for p in factorize(g.norm()):
-        if p % 4 == 3:
-            pi = GaussianInt(p, 0)
-            mult = 0
-            while g_divides(pi, rem):
-                rem = g_divexact(rem, pi)
-                mult += 1
-            if mult:
-                out.append((pi, mult))
-        else:
-            split = g_gcd(GaussianInt(p, 0), GaussianInt(_sqrt_minus_one(p), 1))
-            for cand in (split, split.conj()):
-                mult = 0
-                while g_divides(cand, rem):
-                    rem = g_divexact(rem, cand)
-                    mult += 1
-                if mult:
-                    out.append((cand, mult))
-    if not rem.is_unit():
-        raise AssertionError("norm factorization did not exhaust the modulus")
-    return out
-
-
-def _quartic_prime(a: GaussianInt, pi: GaussianInt) -> QuarticValue:
-    """(a/pi)_4 for a Gaussian prime pi of odd norm, gcd(a, pi) a unit."""
-    N = pi.norm()
-    r = g_powmod(a, (N - 1) // 4, pi)
     for k in range(4):
-        if g_divides(pi, r - UNITS[k]):
-            return QuarticValue(k)
-    raise ValueError("arguments not coprime")
+        u = UNITS[-k] * g
+        if (u.re % 4, u.im % 4) in ((1, 0), (3, 2)):
+            return u, k
+    raise ValueError("only an odd-norm Gaussian integer has a primary associate")
 
 
 def quartic_symbol(a, modulus: GaussianInt) -> QuarticValue:
     """Biquadratic residue symbol (a/modulus)_4 = i^k.
 
-    For prime modulus this is the character a^((N-1)/4) mod modulus;
-    for composite odd modulus it is extended multiplicatively over the
-    Gaussian prime factorization (obtained through the norm).
+    For a Gaussian prime pi of odd norm it is the i^k congruent to
+    a^((N pi - 1)/4) mod pi; for composite odd modulus it is the product
+    over the Gaussian prime factors, so it depends only on the ideal.
+    The loop reduces a modulo the primary associate mu of the modulus,
+    strips a's factors 1 + i and its unit, and swaps a and mu, using
+    three laws for coprime primary non-units mu = x + y i and alpha,
+    where primary means (x, y) = (1, 0) or (3, 2) mod 4 (K. Ireland and
+    M. Rosen, A Classical Introduction to Modern Number Theory, 2nd ed.,
+    ch. 9; F. Lemmermeyer, Reciprocity Laws, ch. 6):
+
+    * (i/mu)_4 = i^((1 - x)/2),
+    * ((1 + i)/mu)_4 = i^((x - y - y^2 - 1)/4),
+    * (alpha/mu)_4 = (mu/alpha)_4 (-1)^(((N alpha - 1)/4)((N mu - 1)/4)).
     """
     if isinstance(a, int):
         a = GaussianInt(a, 0)
@@ -156,16 +123,24 @@ def quartic_symbol(a, modulus: GaussianInt) -> QuarticValue:
         raise ValueError("modulus must have odd norm")
     if n == 1:
         raise ValueError("modulus must not be a unit")
-    if not g_gcd(a, modulus).is_unit():
-        raise ValueError("arguments not coprime")
-    if is_prime(n) or (modulus.im == 0 and is_prime(abs(modulus.re))) or (
-        modulus.re == 0 and is_prime(abs(modulus.im))
-    ):
-        return _quartic_prime(a, modulus)
-    total = QuarticValue(0)
-    for pi, mult in _gaussian_prime_factors(modulus):
-        total = total * (_quartic_prime(a, pi) ** mult)
-    return total
+    mu, _ = _primary(modulus)
+    k = 0
+    while True:
+        a = g_divmod(a, mu)[1]
+        if a.is_zero():
+            raise ValueError("arguments not coprime")
+        x, y = mu.re, mu.im
+        while (a.re + a.im) % 2 == 0:  # (1 + i) | a: divide by it
+            a = GaussianInt((a.re + a.im) // 2, (a.im - a.re) // 2)
+            k += (x - y - y * y - 1) // 4
+        a, units = _primary(a)
+        k += units * (1 - x) // 2
+        if a.is_unit():
+            return QuarticValue(k)
+        na = a.norm()
+        if (na - 1) // 4 * ((n - 1) // 4) % 2:
+            k += 2
+        a, mu, n = mu, a, na
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import math
 
-from .numerics import (
-    GaussianInt,
-    factorize,
-    g_pow,
-    perfect_power_exponent,
-    val_p,
-)
+from .numerics import GaussianInt, g_pow, perfect_power_exponent, val_p
 from .triples import PrimPair, iter_pairs, triple_of
 
 __all__ = [
@@ -206,7 +200,7 @@ def gaussian_power_structure(a1: int, b1: int, Z: int) -> dict:
     Verifies: a1 | k and b1 | l with odd quotients; the even one of
     a1, b1 matches the 2-adic valuation of its component of the power;
     odd primes p | a1 satisfy val_p(k) = val_p(a1) + val_p(Z), and
-    symmetrically for b1 and l.
+    symmetrically for b1 and l (compared by gcds, without factoring).
     """
     if a1 == 0 or b1 == 0:
         raise ValueError("requires nonzero a1, b1")
@@ -226,9 +220,30 @@ def gaussian_power_structure(a1: int, b1: int, Z: int) -> dict:
     else:
         checks["two_adic_match"] = val_p(l, 2) == val_p(b1, 2)
     checks["odd_prime_valuations"] = all(
-        val_p(part, p) == val_p(base, p) + val_p(Z, p)
-        for base, part in ((a1, k), (b1, l))
-        for p in factorize(abs(base))
-        if p > 2
+        _odd_prime_valuations_match(base, part, Z) for base, part in ((a1, k), (b1, l))
     )
     return {"k": k, "l": l, "checks": checks, "ok": all(checks.values())}
+
+
+def _smooth_part(x: int, B: int) -> int:
+    """The largest divisor of |x| whose prime factors all divide B >= 1."""
+    if x == 0:
+        raise ValueError("smooth part of zero undefined")
+    s = 1
+    g = math.gcd(x, B)
+    while g > 1:
+        x //= g
+        s *= g
+        g = math.gcd(x, B)
+    return s
+
+
+def _odd_prime_valuations_match(base: int, part: int, Z: int) -> bool:
+    """val_p(part) = val_p(base) + val_p(Z) for every odd prime p | base.
+
+    Needs no factoring: with B the odd part of |base|, the valuations at
+    the primes of B are those of the B-smooth parts, so the statement
+    reads smooth_B(part) = smooth_B(B Z).
+    """
+    B = abs(base) >> val_p(base, 2)
+    return _smooth_part(part, B) == _smooth_part(B * Z, B)

@@ -73,6 +73,17 @@ def test_verify_sieve_and_engine_share_rule(capsys):
     assert json.dumps(diff[0], sort_keys=True) in sieve
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("--m", "4000000004", "--n", "9", "--cap", "10"), ("--m", "40000000000004", "--n", "17")],
+)
+def test_verify_quartic_case_needs_no_factoring(capsys, argv):
+    # the quartic chain's modulus has norm c = m^2 + n^2 > 1e18 here
+    code, rep, _ = run_json(capsys, "verify", *argv)
+    assert code in (0, 1)
+    assert rep["results"]["engine"]["case"] == "odd=1(8), even=4(8)"
+
+
 def test_verify_rejects_bad_pair(capsys):
     code, _, err = run(capsys, "verify", "--m", "9", "--n", "3")
     assert code == 2 and "error:" in err
@@ -238,6 +249,13 @@ def test_symbols_quartic(capsys):
     code, rep, _ = run_json(capsys, "symbols", "--quartic", "2", "--mod", "9,-4")
     assert code == 0
     assert rep["results"] == {"symbol": "quartic", "value": "-1"}
+
+
+def test_symbols_quartic_rational_prime_modulus(capsys):
+    # 5 = (2+i)(2-i) up to a unit, and (2/2+i)_4 (2/2-i)_4 = (-i)(i) = 1
+    code, rep, _ = run_json(capsys, "symbols", "--quartic", "2", "--mod", "5,0")
+    assert code == 0
+    assert rep["results"] == {"symbol": "quartic", "value": "1"}
 
 
 def test_symbols_argument_validation(capsys):

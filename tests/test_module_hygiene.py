@@ -79,3 +79,25 @@ def test_only_numerics_imports_mpmath(path):
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
             modules.add(node.module)
     assert sorted(m for m in modules if m.split(".")[0] == "mpmath") == []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Names a module reads, imports by name, or reads as an attribute."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_unexported_names_are_used(path):
+    # a helper that lost its last caller is dead code, unless __all__ offers it
+    tree = parse(path)
+    used = set().union(*(referenced_names(parse(p)) for p in MODULES))
+    unused = defined_names(tree) - set(exported_names(tree)) - used
+    assert sorted(n for n in unused if not n.startswith("__")) == []

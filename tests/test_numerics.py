@@ -11,7 +11,7 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import factorint, isprime, nextprime, prevprime
+from sympy import factorint, isprime, nextprime
 
 from tripow.numerics import (
     DEFAULT_PRECISION,
@@ -22,14 +22,8 @@ from tripow.numerics import (
     RInterval,
     SUPERFACTORIAL_BLOCK,
     UNITS,
-    factorize,
-    g_divexact,
-    g_divides,
     g_divmod,
-    g_gcd,
-    g_mod,
     g_pow,
-    g_powmod,
     integer_nth_root,
     is_prime,
     is_prime_power,
@@ -150,26 +144,6 @@ def test_is_prime_raises_where_thirteen_bases_do_not_decide():
         assert is_prime(n) == isprime(n) == False
 
 
-def test_factorize_matches_factorint():
-    rng = random.Random(6)
-    ns = [rng.randrange(1, 10**k) for k in (3, 6, 9, 12, 15, 18) for _ in range(60)]
-    # semiprimes with both factors near 2^30, and prime squares and cubes
-    ns += [prevprime(rng.randrange(2**29, 10**9)) * prevprime(rng.randrange(2**29, 10**9))
-           for _ in range(5)]
-    ns += [prevprime(rng.randrange(10**8, 10**9)) ** 2 for _ in range(5)]
-    ns += [prevprime(rng.randrange(10**5, 3 * 10**5)) ** 3 * 9 for _ in range(5)]
-    ns += [1, 2, 199, 211, 200 * 200, 211 * 211, 10**18]
-    for n in ns:
-        assert factorize(n) == factorint(n), n
-
-
-def test_factorize_refuses_above_its_limit():
-    with pytest.raises(ValueError, match="1e18"):
-        factorize(10**18 + 1)
-    with pytest.raises(ValueError):
-        factorize(0)
-
-
 def test_is_prime_power_matches_factorint():
     assert [n for n in range(10**5) if is_prime_power(n)] == [
         n for n in range(2, 10**5) if len(factorint(n)) == 1
@@ -203,31 +177,9 @@ def test_divmod_small_remainder(a, b):
     assert r.norm() * 2 <= b.norm()
 
 
-@given(gauss.filter(lambda g: not g.is_zero()),
-       gauss.filter(lambda g: not g.is_zero()))
-def test_gcd_divides_both(a, b):
-    g = g_gcd(a, b)
-    assert g_divides(g, a) and g_divides(g, b)
-
-
 @given(gauss, st.integers(min_value=0, max_value=12), st.integers(min_value=0, max_value=12))
 def test_pow_additive(a, j, k):
     assert g_pow(a, j) * g_pow(a, k) == g_pow(a, j + k)
-
-
-def test_powmod_matches_pow():
-    rng = random.Random(7)
-    for _ in range(50):
-        a = GaussianInt(rng.randrange(-50, 50), rng.randrange(-50, 50))
-        m = GaussianInt(rng.randrange(1, 30), rng.randrange(1, 30))
-        e = rng.randrange(0, 30)
-        assert g_powmod(a, e, m) == g_mod(g_pow(a, e), m)
-
-
-def test_divexact_rejects_nondivisor():
-    with pytest.raises(ValueError):
-        g_divexact(GaussianInt(3, 0), GaussianInt(2, 1))
-    assert g_divexact(GaussianInt(5, 0), GaussianInt(2, -1)) == GaussianInt(2, 1)
 
 
 def test_units_and_constants():

@@ -10,12 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from sympy import factorint, isprime
 
-from tripow.numerics import GaussianInt, I, ONE, UNITS, g_pow
+from tripow.numerics import GaussianInt, I, UNITS, g_pow
 from tripow.residues import (
     ParityConstraint,
     _forces_all_even,
-    _gaussian_prime_factors,
-    _sqrt_minus_one,
     QuarticValue,
     jacobi,
     parity_engine,
@@ -191,28 +189,69 @@ def test_quartic_symbol_composite_modulus():
         assert quartic_symbol(a, comp) == quartic_symbol(a, m1) * quartic_symbol(a, m2)
 
 
-def test_sqrt_minus_one_squares_to_minus_one():
-    for p in range(5, 10**5, 4):
-        if isprime(p):
-            s = _sqrt_minus_one(p)
-            assert 0 < s < p and s * s % p == p - 1
+def _divides(d: GaussianInt, x: GaussianInt) -> bool:
+    t = x * d.conj()
+    return t.re % d.norm() == 0 and t.im % d.norm() == 0
 
 
-def test_gaussian_prime_factors_multiply_back_to_a_unit_multiple():
-    rng = random.Random(11)
-    for bound in (10**3, 10**6, 7 * 10**8):
-        for _ in range(40):
-            g = GaussianInt(rng.randrange(-bound, bound), rng.randrange(-bound, bound))
-            if g.norm() % 2 == 0 or g.norm() == 1:
-                continue
-            prod = ONE
-            for pi, mult in _gaussian_prime_factors(g):
-                n = pi.norm()
-                # a Gaussian prime: split (norm p) or inert (norm q^2, q = 3 mod 4)
-                q = isqrt(n)
-                assert isprime(n) or (q * q == n and isprime(q) and q % 4 == 3)
-                prod = prod * g_pow(pi, mult)
-            assert any(u * prod == g for u in UNITS)
+def test_quartic_symbol_matches_oracle_on_composite_moduli():
+    """A unit times primary Gaussian primes to powers 1-3: the symbol is the
+    product of the definitional symbols of the factors, and a shared factor
+    raises.  Split primes come in as one factor or, through a rational
+    p = 1 (mod 4), as both conjugates; inert ones as (q, 0)."""
+    rng = random.Random(23)
+    split = [p for p in range(5, 2000, 4) if isprime(p)]
+    inert = [q for q in range(3, 200, 4) if isprime(q)]
+    coprime = shared = 0
+    for trial in range(400):
+        factors = []
+        if trial % 5 == 0:  # the whole modulus is a rational prime p = 1 (mod 4)
+            pi = _make_primary(GaussianInt(*_split_prime_parts(rng.choice(split))))
+            factors = [(pi, 1), (pi.conj(), 1)]
+        else:
+            for _ in range(rng.randint(1, 3)):
+                e = rng.randint(1, 3)
+                kind = rng.random()
+                if kind < 0.5:
+                    pi = _make_primary(GaussianInt(*_split_prime_parts(rng.choice(split))))
+                    factors.append((pi.conj() if rng.random() < 0.5 else pi, e))
+                elif kind < 0.75:
+                    factors.append((_make_primary(GaussianInt(rng.choice(inert), 0)), e))
+                else:
+                    pi = _make_primary(GaussianInt(*_split_prime_parts(rng.choice(split))))
+                    factors += [(pi, e), (pi.conj(), e)]
+        modulus = rng.choice(UNITS)
+        for pi, e in factors:
+            modulus = modulus * g_pow(pi, e)
+        a = GaussianInt(rng.randrange(-10**6, 10**6), rng.randrange(-10**6, 10**6))
+        if rng.random() < 0.2:
+            a = a * rng.choice(factors)[0]
+        if a.is_zero():
+            continue
+        if any(_divides(pi, a) for pi, _ in factors):
+            shared += 1
+            with pytest.raises(ValueError, match="not coprime"):
+                quartic_symbol(a, modulus)
+            continue
+        coprime += 1
+        want = QuarticValue(sum(e * definitional_quartic(a, pi) for pi, e in factors))
+        assert quartic_symbol(a, modulus) == want, (a, modulus, factors)
+    assert coprime > 250 and shared > 40, (coprime, shared)
+
+
+def test_quartic_symbol_of_rational_prime_modulus_is_over_both_factors():
+    # p = 1 (mod 4) is not a Gaussian prime: (a/p)_4 multiplies the symbols
+    # of its two conjugate factors, which is 1 for every rational a prime to p
+    assert quartic_symbol(2, GaussianInt(5, 0)) == 1
+    assert quartic_symbol(GaussianInt(3, 2), GaussianInt(0, 5)) == QuarticValue(3)
+    for p in (13, 17, 29, 197):
+        pi = _make_primary(GaussianInt(*_split_prime_parts(p)))
+        for mod in (GaussianInt(p, 0), GaussianInt(0, -p)):
+            for a in (GaussianInt(2, 0), GaussianInt(-7, 0), GaussianInt(3, 2), GaussianInt(-5, 11)):
+                if a.norm() % p == 0:
+                    continue
+                want = definitional_quartic(a, pi) + definitional_quartic(a, pi.conj())
+                assert quartic_symbol(a, mod) == QuarticValue(want), (a, mod)
 
 
 def test_quartic_symbol_rejects_non_coprime():

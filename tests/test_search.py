@@ -9,6 +9,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import factorint
 
 from tripow import search
 from tripow.numerics import GaussianInt, g_pow
@@ -214,3 +215,38 @@ def test_power_structure_rejections():
         gaussian_power_structure(2, 4, 3)
     with pytest.raises(ValueError):
         gaussian_power_structure(2, 1, 2)
+
+
+def _valuations_match_by_factoring(base: int, part: int, Z: int) -> bool:
+    """The valuation statement read off sympy's factorizations."""
+    fp, fz = factorint(abs(part)), factorint(Z)
+    return all(
+        fp.get(p, 0) == e + fz.get(p, 0) for p, e in factorint(abs(base)).items() if p > 2
+    )
+
+
+def test_power_structure_valuation_check_against_factorint():
+    rng = random.Random(31)
+    primes = (3, 5, 7, 11, 13, 101, 9973)
+
+    def draw():
+        v = rng.choice((-1, 1)) * rng.randrange(1, 10 ** rng.randint(1, 8))
+        for _ in range(rng.randint(0, 3)):
+            v *= rng.choice(primes) ** rng.randint(1, 3)
+        return v
+
+    outcomes = []
+    for _ in range(2000):
+        base, Z = draw(), abs(draw())
+        part = rng.choice((draw(), base * Z, base * Z * draw(), base * Z * rng.choice(primes)))
+        want = _valuations_match_by_factoring(base, part, Z)
+        assert search._odd_prime_valuations_match(base, part, Z) == want, (base, part, Z)
+        outcomes.append(want)
+    # both outcomes are common, so the check is seen to fail as well as pass
+    assert 300 < sum(outcomes) < 1700, sum(outcomes)
+
+
+@pytest.mark.parametrize("base, part, Z", [(0, 5, 3), (15, 0, 3), (15, 45, 0), (4, 0, 3)])
+def test_power_structure_valuation_check_rejects_zero(base, part, Z):
+    with pytest.raises(ValueError):
+        search._odd_prime_valuations_match(base, part, Z)
