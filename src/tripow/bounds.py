@@ -36,7 +36,6 @@ __all__ = [
     "y_upper_bound",
     "ordering_predicates",
     "laurent_epsilon",
-    "laurent_epsilon_majorant",
     "LaurentInstance",
     "laurent_check",
     "lemma_parameter_rechecks",
@@ -48,7 +47,6 @@ __all__ = [
     "THEOREM_FORMS",
     "certify_threshold",
     "crossover",
-    "rho_log",
     "alpha1_constant",
 ]
 
@@ -88,13 +86,9 @@ class HypothesisError(ValueError):
         self.hypothesis = hypothesis
 
 
-def rho_log(precision: int = DEFAULT_PRECISION) -> RInterval:
-    return RInterval(RHO_LOG, precision=precision)
-
-
 def alpha1_constant(precision: int = DEFAULT_PRECISION) -> RInterval:
     """a1 = e^3.1 * pi, the fixed first-logarithm weight."""
-    return rho_log(precision).exp() * RInterval.pi(precision)
+    return RInterval(RHO_LOG, precision=precision).exp() * RInterval.pi(precision)
 
 
 def y_upper_bound(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
@@ -158,47 +152,24 @@ def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> d
 # epsilon(N)
 
 
-def _eps_tail(N: int, precision: int) -> RInterval:
-    # ln(1 + ((e-1)/e)^N), exact interval
-    e = RInterval.e_const(precision)
-    q = (e - 1) / e
-    return (RInterval(1, precision=precision) + q**N).ln()
-
-
-def _stirling_epsilon(N: int, precision: int, slack: RInterval) -> RInterval:
-    """(2/N)((3/2) ln N + (1/2) ln 2pi + tail + slack)."""
-    lnN = RInterval(N, precision=precision).ln()
-    ln2pi = (RInterval(2, precision=precision) * RInterval.pi(precision)).ln()
-    base = (
-        RInterval(Fraction(3, 2), precision=precision) * lnN
-        + ln2pi / 2
-        + _eps_tail(N, precision)
-    )
-    return RInterval(2, precision=precision) / N * (base + slack)
-
-
-def laurent_epsilon_majorant(N: int, precision: int = DEFAULT_PRECISION) -> RInterval:
-    """The decreasing majorant (2/N)((3/2)lnN + (1/2)ln 2pi + 1/(12N) + tail)."""
-    if N < 2:
-        raise ValueError("requires N >= 2")
-    return _stirling_epsilon(N, precision, RInterval(Fraction(1, 12 * N), precision=precision))
-
-
 def laurent_epsilon(N: int, precision: int = DEFAULT_PRECISION) -> RInterval:
     """Enclosure of epsilon(N) = (2/N) ln(N! N^(1-N) (e^N + (e-1)^N)).
 
-    Small N uses the exact factorial; large N uses the two-sided
-    Stirling enclosure whose upper side is the published majorant.
+    Stirling's two-sided bound ln N! = (N + 1/2) ln N - N + (1/2) ln 2pi + r
+    with 0 < r < 1/(12N) gives
+    epsilon(N) = (2/N)((3/2) ln N + (1/2) ln 2pi + r + ln(1 + ((e-1)/e)^N)).
+    The enclosure takes r in [0, 1/(12N)], so its upper end is the
+    published majorant, which decreases in N.
     """
     if N < 2:
         raise ValueError("requires N >= 2")
-    if N <= 300:
-        lnfac = RInterval(math.factorial(N), precision=precision).ln()
-        lnN = RInterval(N, precision=precision).ln()
-        body = lnfac + (1 - N) * lnN + RInterval(N, precision=precision) + _eps_tail(N, precision)
-        return RInterval(2, precision=precision) / N * body
-    stirling_slack = RInterval(0, Fraction(1, 12 * N), precision=precision)
-    return _stirling_epsilon(N, precision, stirling_slack)
+    e = RInterval.e_const(precision)
+    tail = (RInterval(1, precision=precision) + ((e - 1) / e) ** N).ln()
+    lnN = RInterval(N, precision=precision).ln()
+    ln2pi = (RInterval(2, precision=precision) * RInterval.pi(precision)).ln()
+    base = RInterval(Fraction(3, 2), precision=precision) * lnN + ln2pi / 2 + tail
+    r = RInterval(0, Fraction(1, 12 * N), precision=precision)
+    return RInterval(2, precision=precision) / N * (base + r)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +279,23 @@ def laurent_check(inst: LaurentInstance):
     return ok, margin, bound
 
 
-def two_log_instance(a2, bprime, precision: int = DEFAULT_PRECISION) -> LaurentInstance:
+def two_log_instance(a2: RInterval, bprime: RInterval) -> LaurentInstance:
     """Instantiate the theorem the way the specialized corollary's proof does.
 
     L comes from bprime, K = 1 + floor(kappa L a1 a2), R2 and S2 balance
     the two logarithm weights, mu = 2/3 and rho = e^3.1 are fixed, and
-    b1 = b2 are the equal coefficients reproducing bprime.
+    b1 = b2 are the equal coefficients reproducing bprime.  Works at the
+    larger of the two operands' precisions.
     """
-    a2_iv = a2 if isinstance(a2, RInterval) else RInterval(a2, precision=precision)
-    bp_iv = bprime if isinstance(bprime, RInterval) else RInterval(bprime, precision=precision)
-    a1_iv = alpha1_constant(precision)
-    L = corollary_L(bp_iv)
-    kla = RInterval(KAPPA, precision=precision) * L * a1_iv * a2_iv
+    precision = max(a2.precision, bprime.precision)
+    a1 = alpha1_constant(precision)
+    L, _ = corollary_L(bprime)
+    kla = RInterval(KAPPA, precision=precision) * L * a1 * a2
     K = 1 + kla.floor()
-    R2 = 1 + ((K - 1) * L * a2_iv / a1_iv).sqrt().floor()
-    S2 = 1 + ((K - 1) * L * a1_iv / a2_iv).sqrt().floor()
-    weight = 1 / (1 / a2_iv + 1 / a1_iv)
-    b = max(1, (bp_iv * weight).floor())
+    R2 = 1 + ((K - 1) * L * a2 / a1).sqrt().floor()
+    S2 = 1 + ((K - 1) * L * a1 / a2).sqrt().floor()
+    weight = 1 / (1 / a2 + 1 / a1)
+    b = max(1, (bprime * weight).floor())
     return LaurentInstance(
         K=K,
         L=L,
@@ -332,38 +303,34 @@ def two_log_instance(a2, bprime, precision: int = DEFAULT_PRECISION) -> LaurentI
         R2=R2,
         S1=(L + 1) // 2,
         S2=S2,
-        rho=rho_log(precision).exp(),
+        rho=RInterval(RHO_LOG, precision=precision).exp(),
         mu=RInterval(MU, precision=precision),
         b1=b,
         b2=b,
-        a1=a1_iv,
-        a2=a2_iv,
+        a1=a1,
+        a2=a2,
     )
 
 
-def lemma_parameter_rechecks(inst: LaurentInstance, bprime) -> dict[str, bool]:
+def lemma_parameter_rechecks(inst: LaurentInstance, bprime: RInterval) -> dict[str, bool]:
     """Numeric rechecks of the two closed-form bounds the corollary uses."""
-    prec = inst.precision
-    bp = bprime if isinstance(bprime, RInterval) else RInterval(bprime, precision=prec)
+    prec = max(inst.precision, bprime.precision)
     rhs = RInterval(inst.K, precision=prec) * (
         RInterval(Fraction(31, 20), precision=prec) * inst.L
         + RInterval(Fraction(612, 10000), precision=prec)
     )
     gl_ok = inst.g_term().strictly_less(rhs)
-    lnb_ok = not (bp.ln() + RInterval(Fraction(23264, 10000), precision=prec)).strictly_less(
+    lnb_ok = not (bprime.ln() + RInterval(Fraction(23264, 10000), precision=prec)).strictly_less(
         inst.ln_b()
     )
     return {"gL_term_below_closed_form": gl_ok, "ln_b_below_closed_form": lnb_ok}
 
 
-def _unfloored_L(bprime: RInterval) -> int:
-    """floor((45/62)(ln bprime + 5.49)) + 1, before the floor at 3."""
-    return 1 + (L_SLOPE * (bprime.ln() + Fraction(549, 100))).floor()
-
-
-def corollary_L(bprime: RInterval) -> int:
-    """L = floor((45/62)(ln bprime + 5.49)) + 1, floored at 3."""
-    return max(3, _unfloored_L(bprime))
+def corollary_L(bprime: RInterval) -> tuple[int, bool]:
+    """(L, floored): L = floor((45/62)(ln bprime + 5.49)) + 1, floored at 3,
+    and whether that floor at 3 applied."""
+    raw = 1 + (L_SLOPE * (bprime.ln() + Fraction(549, 100))).floor()
+    return max(3, raw), raw < 3
 
 
 @dataclass(frozen=True)
@@ -373,37 +340,32 @@ class TwoLogBound:
     L_floored: bool
 
 
-def two_log_lower_bound(
-    a2, bprime, precision: int = DEFAULT_PRECISION
-) -> TwoLogBound:
+def two_log_lower_bound(a2: RInterval, bprime: RInterval) -> TwoLogBound:
     """Specialized lower bound for the logarithm of the two-log linear form.
 
     ln|form| > -3.741 (ln b' + 6.87)^2 a2 - 31 L / 15 - ln L
                - ln(2 + 0.222 L a2)
-    under the hypotheses a2 >= 1000 + a1 and b' > 0.056.
+    under the hypotheses a2 >= 1000 + a1 and b' > 0.056.  Works at the
+    larger of the two operands' precisions.
     """
-    a2_iv = a2 if isinstance(a2, RInterval) else RInterval(a2, precision=precision)
-    bp_iv = bprime if isinstance(bprime, RInterval) else RInterval(bprime, precision=precision)
-    a1_iv = alpha1_constant(precision)
-    floor_a2 = RInterval(1000, precision=precision) + a1_iv
-    if not (a2_iv.lo >= floor_a2.hi):
+    precision = max(a2.precision, bprime.precision)
+    floor_a2 = RInterval(1000, precision=precision) + alpha1_constant(precision)
+    if not (a2.lo >= floor_a2.hi):
         raise HypothesisError("a2 >= 1000 + a1")
-    if not bp_iv.exact_ends()[0] > Fraction(56, 1000):
+    if not bprime.exact_ends()[0] > Fraction(56, 1000):
         raise HypothesisError("bprime > 0.056")
-    raw = _unfloored_L(bp_iv)
-    L = max(3, raw)
-    lnbp = bp_iv.ln()
+    L, floored = corollary_L(bprime)
     c1 = RInterval(Fraction(3741, 1000), precision=precision)
     c2 = RInterval(Fraction(687, 100), precision=precision)
     c3 = RInterval(Fraction(222, 1000), precision=precision)
-    term = lnbp + c2
+    term = bprime.ln() + c2
     bound = (
-        -(c1 * term * term * a2_iv)
+        -(c1 * term * term * a2)
         - RInterval(Fraction(31 * L, 15), precision=precision)
         - RInterval(L, precision=precision).ln()
-        - (RInterval(2, precision=precision) + c3 * L * a2_iv).ln()
+        - (RInterval(2, precision=precision) + c3 * L * a2).ln()
     )
-    return TwoLogBound(bound, L, L_floored=raw < 3)
+    return TwoLogBound(bound, L, L_floored=floored)
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from .bounds import (
 from .numerics import DEFAULT_PRECISION, GaussianInt, RInterval
 from .residues import jacobi, parity_engine, quadratic_sieve, quartic_symbol
 from .search import find_solutions, scan_range
-from .triples import exclusion_conditions, new_pair, triple_of, two_adic_profile
+from .triples import PrimPair, exclusion_conditions, triple_of, two_adic_profile
 
 SCHEMA_VERSION = 1
 ENV_PRECISION = "TRIPOW_PRECISION_BITS"
@@ -108,7 +108,7 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
     for key in ("m", "n"):
         if getattr(config, key) is None:
             raise ValueError(f"verify requires --{key}")
-    p = new_pair(config.m, config.n)
+    p = PrimPair(config.m, config.n)
     tr = triple_of(p)
     report = _new_report(
         config,
@@ -143,6 +143,9 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
 
     try:
         prof = two_adic_profile(p)
+    except ValueError as exc:  # odd member 1
+        res["profile"] = {"note": str(exc)}
+    else:
         res["profile"] = {
             "alpha": prof.alpha,
             "i": prof.i,
@@ -154,8 +157,6 @@ def cmd_verify(config: RunConfig) -> tuple[dict, int]:
         res["y_half_exponent_bound"] = _iv_json(
             y_upper_bound(p, config.precision_bits)
         )
-    except ValueError as exc:
-        res["profile"] = {"note": str(exc)}
 
     return report, (0 if res["only_trivial"] else 1)
 
@@ -186,7 +187,7 @@ def cmd_scan(config: RunConfig) -> tuple[dict, int]:
             writer = csv.writer(fh)
             writer.writerow(["m", "n", "a", "b", "c", "x", "y", "z", "trivial"])
             for s in summary["solutions"]:
-                t = triple_of(new_pair(s["m"], s["n"]))
+                t = triple_of(PrimPair(s["m"], s["n"]))
                 trivial = (s["x"], s["y"], s["z"]) == (2, 2, 2)
                 writer.writerow(
                     [s["m"], s["n"], t.a, t.b, t.c, s["x"], s["y"], s["z"], trivial]
@@ -288,18 +289,18 @@ def cmd_laurent(config: RunConfig) -> tuple[dict, int]:
     if config.a2 is None or config.bprime is None:
         raise ValueError("laurent requires --a2 and --bprime")
     prec = config.precision_bits
-    a2 = _parse_fraction(config.a2)
-    bprime = _parse_fraction(config.bprime)
+    a2 = RInterval(_parse_fraction(config.a2), precision=prec)
+    bprime = RInterval(_parse_fraction(config.bprime), precision=prec)
     report = _new_report(
         config,
         {"a2": config.a2, "bprime": config.bprime, "precision_bits": prec},
     )
     res = report["results"]
-    bound = two_log_lower_bound(a2, bprime, precision=prec)
+    bound = two_log_lower_bound(a2, bprime)
     res["L"] = bound.L
     res["L_floored"] = bound.L_floored
     res["log_form_lower_bound"] = _iv_json(bound.log_lambda_lower)
-    inst = two_log_instance(a2, bprime, precision=prec)
+    inst = two_log_instance(a2, bprime)
     ok, margin, lam = laurent_check(inst)
     res["instance"] = {
         "K": inst.K,

@@ -62,21 +62,6 @@ class QuarticValue:
     def __post_init__(self):
         object.__setattr__(self, "k", self.k % 4)
 
-    def as_gaussian(self) -> GaussianInt:
-        return UNITS[self.k]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, QuarticValue):
-            return self.k == other.k
-        if isinstance(other, int):
-            return (other == 1 and self.k == 0) or (other == -1 and self.k == 2)
-        if isinstance(other, GaussianInt):
-            return self.as_gaussian() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("QuarticValue", self.k))
-
     def __str__(self):
         return ("1", "i", "-1", "-i")[self.k]
 
@@ -347,7 +332,7 @@ def parity_engine(p: PrimPair) -> ParityVerdict:
         pi = GaussianInt(o, -e)
         s1 = quartic_symbol(GaussianInt(2 * o * o, 0), pi)
         s2 = quartic_symbol(GaussianInt(0, 2 * e * e), pi)
-        if s1 == -1 and s2 == -1:
+        if s1 == s2 == QuarticValue(2):
             constraints.append(
                 ParityConstraint(
                     "x-eq-y",

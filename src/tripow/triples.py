@@ -18,7 +18,6 @@ from .numerics import is_prime_power, val_p
 
 __all__ = [
     "PrimPair",
-    "new_pair",
     "PythTriple",
     "triple_of",
     "TwoAdicProfile",
@@ -59,10 +58,6 @@ class PrimPair:
     @property
     def odd_member(self) -> int:
         return self.m if self.m % 2 == 1 else self.n
-
-
-def new_pair(m: int, n: int) -> PrimPair:
-    return PrimPair(m, n)
 
 
 @dataclass(frozen=True)
@@ -116,18 +111,24 @@ def two_adic_profile(p: PrimPair) -> TwoAdicProfile:
     return TwoAdicProfile(alpha=alpha, i=i, beta=beta, j=j, e=e)
 
 
-def exclusion_conditions(p: PrimPair) -> dict[str, bool]:
+def exclusion_conditions(p: PrimPair) -> dict[str, bool | None]:
     """The five pair-level conditions an exceptional solution would force.
 
     A pair failing any one of them cannot carry an exceptional solution.
+    A condition that cannot be decided is None: c_not_prime_power when
+    the primality test cannot settle c.  None never counts as passing.
     """
     prof = two_adic_profile(p)
     c = p.m * p.m + p.n * p.n
+    try:
+        c_not_prime_power = not is_prime_power(c)
+    except ValueError:  # a root of c at or above PSI_13 passed every base
+        c_not_prime_power = None
     return {
         "alpha_ge_2": prof.alpha >= 2,
         "n_ge_4": p.n >= 4,
         "two_alpha_ne_beta_plus_1": 2 * prof.alpha != prof.beta + 1,
-        "c_not_prime_power": not is_prime_power(c),
+        "c_not_prime_power": c_not_prime_power,
         "m_minus_n_ge_3": p.m - p.n >= 3,
     }
 

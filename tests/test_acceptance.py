@@ -32,12 +32,12 @@ from tripow.bounds import (
     alpha1_constant,
     certify_threshold,
     crossover,
-    laurent_epsilon_majorant,
+    laurent_epsilon,
     ordering_predicates,
     two_log_instance,
 )
 from tripow.numerics import GaussianInt, RInterval, g_pow
-from tripow.residues import jacobi, parity_engine, parity_feasible, quartic_symbol
+from tripow.residues import QuarticValue, jacobi, parity_engine, parity_feasible, quartic_symbol
 from tripow.search import (
     ExponentTriple,
     find_solutions,
@@ -45,7 +45,7 @@ from tripow.search import (
     gaussian_power_structure,
     scan_range,
 )
-from tripow.triples import iter_pairs, min_c_scan, new_pair, triple_of
+from tripow.triples import PrimPair, iter_pairs, min_c_scan, triple_of
 
 
 def verdict(num: int, ok: bool, detail: str):
@@ -59,7 +59,7 @@ def test_criterion_1_smallest_pairs():
     start = time.monotonic()
     bad = []
     for mn in [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)]:
-        sols = [(r.sol.x, r.sol.y, r.sol.z) for r in find_solutions(new_pair(*mn), 40)]
+        sols = [(r.sol.x, r.sol.y, r.sol.z) for r in find_solutions(PrimPair(*mn), 40)]
         if sols != [(2, 2, 2)]:
             bad.append((mn, sols))
     elapsed = time.monotonic() - start
@@ -133,9 +133,9 @@ def test_criterion_4_symbol_oracles():
             pairs += 1
             mod = GaussianInt(n, -m)
             if not (
-                quartic_symbol(GaussianInt(0, 1), mod) == 1
-                and quartic_symbol(minus_one, mod) == 1
-                and quartic_symbol(2, mod) == -1
+                quartic_symbol(GaussianInt(0, 1), mod) == QuarticValue(0)
+                and quartic_symbol(minus_one, mod) == QuarticValue(0)
+                and quartic_symbol(2, mod) == QuarticValue(2)
             ):
                 chain_bad += 1
 
@@ -250,12 +250,13 @@ def test_criterion_7_corollary_constants_and_parameter_counts():
     erratum_ok = k_derived <= k_ceiling <= 11028
 
     inst = two_log_instance(
-        RInterval(1000, precision=prec) + a1, Fraction(6, 100), precision=prec
+        RInterval(1000, precision=prec) + a1, RInterval(Fraction(6, 100), precision=prec)
     )
     counts_ok = inst.L == 3 and inst.K == k_derived and inst.N == 3 * k_derived
 
-    # the majorant decreases in N, so this also covers every larger a2 or L
-    eps_ok = laurent_epsilon_majorant(inst.N, prec).strictly_less(
+    # epsilon's upper end is the majorant, which decreases in N, so this
+    # also covers every larger a2 or L
+    eps_ok = laurent_epsilon(inst.N, prec).strictly_less(
         RInterval(Fraction(11, 10000), precision=prec)
     )
 
@@ -305,7 +306,7 @@ def test_criterion_9_identities_and_trivial_solution_safety():
         n = rng.randrange(1, m)
         if math.gcd(m, n) != 1 or (m - n) % 2 == 0:
             continue
-        t = triple_of(new_pair(m, n))
+        t = triple_of(PrimPair(m, n))
         if t.c**2 - t.a**2 != t.b**2:
             id_bad += 1
         mod = t.b * t.b

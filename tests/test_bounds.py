@@ -23,10 +23,8 @@ from tripow.bounds import (
     crossover,
     laurent_check,
     laurent_epsilon,
-    laurent_epsilon_majorant,
     lemma_parameter_rechecks,
     ordering_predicates,
-    rho_log,
     threshold_rhs,
     two_log_instance,
     two_log_lower_bound,
@@ -34,7 +32,7 @@ from tripow.bounds import (
 )
 from tripow.numerics import RInterval
 from tripow.search import ExponentTriple
-from tripow.triples import new_pair, triple_of
+from tripow.triples import PrimPair, triple_of
 
 PREC = 128
 
@@ -78,7 +76,8 @@ def test_shift_constant_decomposes():
 def test_fixed_weights():
     a1 = alpha1_constant(PREC)
     assert_within(a1, Fraction(697369, 10000), Fraction(1, 10000))
-    assert rho_log(PREC).contains(Fraction(31, 10))
+    rho = two_log_instance(riv(1100), riv(10)).rho  # e^3.1
+    assert_within(rho, Fraction(221979513, 10**7), Fraction(1, 10**6))
 
 
 # -- epsilon(N) ------------------------------------------------------------------
@@ -95,6 +94,20 @@ def eps_oracle(N: int) -> mpmath.mpf:
         )
 
 
+def majorant(N: int, precision: int) -> RInterval:
+    """The published majorant (2/N)((3/2) ln N + (1/2) ln 2pi + 1/(12N)
+    + ln(1 + ((e-1)/e)^N)), built here term by term."""
+    e = RInterval.e_const(precision)
+    tail = (riv(1, precision) + ((e - 1) / e) ** N).ln()
+    ln2pi = (riv(2, precision) * RInterval.pi(precision)).ln()
+    body = riv(Fraction(3, 2), precision) * riv(N, precision).ln() + ln2pi / 2 + tail
+    return riv(2, precision) / N * (body + riv(Fraction(1, 12 * N), precision))
+
+
+EPS_SAMPLE = (2, 3, 9, 10, 50, 299, 300, 301, 33081)
+
+
+# Stirling's two-sided bound holds for every N >= 1, small N included
 @pytest.mark.parametrize("N", [3, 10, 50, 299, 300])
 def test_epsilon_exact_path_contains_oracle(N):
     iv = laurent_epsilon(N, PREC)
@@ -109,17 +122,18 @@ def test_epsilon_stirling_path_contains_oracle():
         assert iv.lo <= val <= iv.hi, N
 
 
-def test_epsilon_value_at_ten():
-    assert_within(laurent_epsilon(10, PREC), Fraction(878256, 1000000), Fraction(1, 100000))
-
-
 def test_epsilon_below_majorant():
-    # exact-factorial path: strictly below; Stirling path: the majorant is
-    # the enclosure's own upper endpoint, so only <= can hold there
-    for N in (10, 100, 300):
-        assert laurent_epsilon(N, PREC).strictly_less(laurent_epsilon_majorant(N, PREC))
-    for N in (301, 400, 33081):
-        assert laurent_epsilon(N, PREC).hi <= laurent_epsilon_majorant(N, PREC).hi
+    # Stirling's remainder is strictly below 1/(12N), so epsilon is too
+    for N in EPS_SAMPLE:
+        assert eps_oracle(N) < majorant(N, PREC).lo, N
+
+
+@pytest.mark.parametrize("precision", [64, 128, 512, 1024])
+def test_epsilon_upper_end_is_the_majorant(precision):
+    for N in EPS_SAMPLE:
+        eps = laurent_epsilon(N, precision)
+        assert eps.precision == precision
+        assert eps.hi == majorant(N, precision).hi, N
 
 
 def test_epsilon_decreasing_on_grid():
@@ -131,15 +145,15 @@ def test_epsilon_decreasing_on_grid():
 
 def test_epsilon_majorant_certifies_target():
     bar = riv(Fraction(11, 10000))
-    assert laurent_epsilon_majorant(33091, PREC).strictly_less(bar)
+    # the upper end is the majorant, which decreases in N
+    assert laurent_epsilon(33091, PREC).strictly_less(bar)
     assert laurent_epsilon(33081, PREC).strictly_less(bar)
 
 
 def test_epsilon_rejects_tiny_n():
-    with pytest.raises(ValueError):
-        laurent_epsilon(1)
-    with pytest.raises(ValueError):
-        laurent_epsilon_majorant(1)
+    for N in (0, 1):
+        with pytest.raises(ValueError):
+            laurent_epsilon(N)
 
 
 # -- the worked two-logarithm instance -------------------------------------------
@@ -147,7 +161,7 @@ def test_epsilon_rejects_tiny_n():
 
 @pytest.fixture(scope="module")
 def worked():
-    return two_log_instance(Fraction(1100), Fraction(10), precision=PREC)
+    return two_log_instance(riv(1100), riv(10))
 
 
 def test_worked_instance_parameters(worked):
@@ -181,7 +195,7 @@ def test_worked_instance_main_condition(worked):
 
 
 def test_worked_instance_rechecks(worked):
-    checks = lemma_parameter_rechecks(worked, Fraction(10))
+    checks = lemma_parameter_rechecks(worked, riv(10))
     assert checks == {
         "gL_term_below_closed_form": True,
         "ln_b_below_closed_form": True,
@@ -190,7 +204,7 @@ def test_worked_instance_rechecks(worked):
 
 def test_instance_validation():
     kw = dict(
-        rho=rho_log(PREC).exp(),
+        rho=riv(RHO_LOG).exp(),
         mu=riv(MU),
         b1=2,
         b2=2,
@@ -214,7 +228,7 @@ def test_small_instance_fails_main_condition():
         R2=2,
         S1=1,
         S2=2,
-        rho=rho_log(PREC).exp(),
+        rho=riv(RHO_LOG).exp(),
         mu=riv(MU),
         b1=2,
         b2=2,
@@ -229,7 +243,7 @@ def test_small_instance_fails_main_condition():
 def test_mu_and_rho_validation():
     base = dict(K=3, L=3, R1=1, R2=2, S1=1, S2=2, b1=2, b2=2,
                 a1=alpha1_constant(PREC), a2=riv(1100))
-    bad_mu = LaurentInstance(rho=rho_log(PREC).exp(), mu=riv(Fraction(1, 4)), **base)
+    bad_mu = LaurentInstance(rho=riv(RHO_LOG).exp(), mu=riv(Fraction(1, 4)), **base)
     with pytest.raises(ValueError, match="mu"):
         laurent_check(bad_mu)
     bad_rho = LaurentInstance(rho=riv(1), mu=riv(MU), **base)
@@ -237,24 +251,45 @@ def test_mu_and_rho_validation():
         laurent_check(bad_rho)
 
 
+@pytest.mark.parametrize("precision", [200, 512])
+def test_laurent_functions_work_at_operand_precision(precision):
+    a2, bprime = riv(1100, precision), riv(10, precision)
+    bound = two_log_lower_bound(a2, bprime)
+    assert bound.log_lambda_lower.precision == precision
+    inst = two_log_instance(a2, bprime)
+    assert inst.precision == precision
+    assert {iv.precision for iv in (inst.rho, inst.mu, inst.a1, inst.a2)} == {precision}
+    assert inst.ln_b().precision == precision
+    ok, margin, lam = laurent_check(inst)
+    assert ok and margin.precision == lam.precision == precision
+    assert all(lemma_parameter_rechecks(inst, bprime).values())
+    # the same instance as at 128 bits, with a narrower margin
+    ref = two_log_instance(riv(1100), riv(10))
+    assert (inst.K, inst.L, inst.R2, inst.S2, inst.b1) == (ref.K, ref.L, ref.R2, ref.S2, ref.b1)
+    assert margin.width < laurent_check(ref)[1].width
+    # mixed operands work at the larger precision
+    assert two_log_instance(a2, riv(10)).precision == precision
+    assert two_log_lower_bound(riv(1100), bprime).log_lambda_lower.precision == precision
+
+
 # -- the specialized lower bound --------------------------------------------------
 
 
 def test_corollary_length_parameter():
-    assert corollary_L(riv(10)) == 6
-    assert corollary_L(riv(Fraction(6, 100))) == 3
+    assert corollary_L(riv(10)) == (6, False)
+    assert corollary_L(riv(Fraction(6, 100))) == (3, True)
 
 
 def test_lower_bound_worked_value():
-    res = two_log_lower_bound(Fraction(1100), Fraction(10), PREC)
+    res = two_log_lower_bound(riv(1100), riv(10))
     assert res.L == 6 and not res.L_floored
     assert_within(res.log_lambda_lower, Fraction(-3462508, 10), Fraction(1, 1))
     # second oracle input, far above the hypothesis floor: m = 2^1443, n = 3,
     # z = 100, a2 = ln c + a1 (about 2070), b' = z (1/69.73 + 1/a2) (about 1.48)
-    c = triple_of(new_pair(2**1443, 3)).c
+    c = triple_of(PrimPair(2**1443, 3)).c
     a2 = riv(c).ln() + alpha1_constant(PREC)
     bprime = 100 * (1 / riv(Fraction(6973, 100)) + 1 / a2)
-    far = two_log_lower_bound(a2, bprime, PREC)
+    far = two_log_lower_bound(a2, bprime)
     with mpmath.workdps(40):
         a2_far = mpmath.log(c) + mpmath.exp(mpmath.mpf("3.1")) * mpmath.pi
         bprime_far = 100 * (1 / mpmath.mpf("69.73") + 1 / a2_far)
@@ -275,16 +310,16 @@ def test_lower_bound_worked_value():
 
 
 def test_lower_bound_floors_short_lengths():
-    res = two_log_lower_bound(Fraction(1100), Fraction(6, 100), PREC)
+    res = two_log_lower_bound(riv(1100), riv(Fraction(6, 100)))
     assert res.L == 3 and res.L_floored
 
 
 def test_lower_bound_hypotheses():
     with pytest.raises(HypothesisError) as err:
-        two_log_lower_bound(Fraction(1000), Fraction(10), PREC)
+        two_log_lower_bound(riv(1000), riv(10))
     assert err.value.hypothesis == "a2 >= 1000 + a1"
     with pytest.raises(HypothesisError) as err:
-        two_log_lower_bound(Fraction(1100), Fraction(5, 100), PREC)
+        two_log_lower_bound(riv(1100), riv(Fraction(5, 100)))
     assert err.value.hypothesis == "bprime > 0.056"
     assert str(err.value).startswith("hypothesis fails")
 
@@ -292,7 +327,7 @@ def test_lower_bound_hypotheses():
 def test_minor_parameter_counts_at_the_hypothesis_floor():
     # the interesting regime: L = 3 and a2 at its smallest admissible value
     a2 = RInterval(1000, precision=200) + alpha1_constant(200)
-    inst = two_log_instance(a2, Fraction(6, 100), precision=200)
+    inst = two_log_instance(a2, riv(Fraction(6, 100), 200))
     assert inst.L == 3
     assert inst.K == 11027
     assert inst.N == 33081
@@ -303,12 +338,12 @@ def test_minor_parameter_counts_at_the_hypothesis_floor():
 
 
 def test_y_upper_bound_examples():
-    assert_within(y_upper_bound(new_pair(13, 4), PREC), Fraction(1261860, 1000000), Fraction(1, 100000))
-    assert_within(y_upper_bound(new_pair(11, 8), PREC), Fraction(1080482, 1000000), Fraction(1, 100000))
+    assert_within(y_upper_bound(PrimPair(13, 4), PREC), Fraction(1261860, 1000000), Fraction(1, 100000))
+    assert_within(y_upper_bound(PrimPair(11, 8), PREC), Fraction(1080482, 1000000), Fraction(1, 100000))
 
 
 def test_ordering_predicates_skips_non_candidates():
-    p = new_pair(13, 4)
+    p = PrimPair(13, 4)
     for t in [ExponentTriple(2, 2, 2), ExponentTriple(3, 4, 6), ExponentTriple(2, 4, 5)]:
         out = ordering_predicates(p, t, PREC)
         assert out["skipped"] and not out["excluded"]
@@ -316,7 +351,7 @@ def test_ordering_predicates_skips_non_candidates():
 
 
 def test_ordering_predicates_failure_modes():
-    p = new_pair(13, 4)
+    p = PrimPair(13, 4)
     out = ordering_predicates(p, ExponentTriple(4, 6, 6), PREC)
     assert out["excluded"] and "gap_ge_4" in out["failures"]
     out = ordering_predicates(p, ExponentTriple(4, 6, 14), PREC)

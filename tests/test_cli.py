@@ -64,6 +64,25 @@ def test_verify_full_dossier(capsys):
     assert "y_half_exponent_bound" in res
 
 
+def test_verify_undecided_primality_keeps_the_dossier(capsys):
+    # c = 4*10^24 + 49 is at least PSI_13 and passes all 13 Miller-Rabin
+    # bases, so whether it is a prime power is undecided: that one
+    # exclusion is null, and the profile, the other four and the Y bound stay
+    code, rep, _ = run_json(capsys, "verify", "--m", "2000000000000", "--n", "7")
+    assert code == 0
+    res = rep["results"]
+    assert res["triple"]["c"] == 4 * 10**24 + 49
+    assert res["profile"] == {"alpha": 13, "i": 5**12, "beta": 3, "j": 1, "e": -1}
+    assert res["exclusions"] == {
+        "alpha_ge_2": True,
+        "n_ge_4": True,
+        "two_alpha_ne_beta_plus_1": True,
+        "c_not_prime_power": None,
+        "m_minus_n_ge_3": True,
+    }
+    assert set(res["y_half_exponent_bound"]) == {"lo", "hi"}
+
+
 def test_verify_sieve_and_engine_share_rule(capsys):
     code, rep, _ = run_json(capsys, "verify", "--m", "12", "--n", "7")
     res = rep["results"]

@@ -101,3 +101,22 @@ def test_unexported_names_are_used(path):
     used = set().union(*(referenced_names(parse(p)) for p in MODULES))
     unused = defined_names(tree) - set(exported_names(tree)) - used
     assert sorted(n for n in unused if not n.startswith("__")) == []
+
+
+def test_bounds_interval_functions_take_no_precision():
+    # a bounds function given an RInterval works at its precision, so a
+    # precision parameter beside it would be a second, conflicting source
+    tree = parse(Path(tripow.__file__).with_name("bounds.py"))
+    both = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        names = {a.arg for a in params}
+        if "precision" in names and any(
+            a.annotation is not None and "RInterval" in ast.unparse(a.annotation)
+            for a in params
+        ):
+            both.append(node.name)
+    assert both == []

@@ -21,7 +21,7 @@ from tripow.residues import (
     quadratic_sieve,
     quartic_symbol,
 )
-from tripow.triples import iter_pairs, new_pair, triple_of
+from tripow.triples import PrimPair, iter_pairs, triple_of
 
 
 # -- oracles -----------------------------------------------------------------
@@ -128,8 +128,11 @@ def test_jacobi_periodic_and_multiplicative(a, k):
 
 
 def test_quartic_value_algebra():
-    assert QuarticValue(4) == QuarticValue(0) == 1
-    assert QuarticValue(1) == I and QuarticValue(2) == -1
+    assert QuarticValue(4) == QuarticValue(0) and QuarticValue(-2) == QuarticValue(2)
+    # equality and hashing agree: a value equals only a value, never an int
+    assert QuarticValue(4) in {QuarticValue(0)} and len({QuarticValue(k) for k in range(8)}) == 4
+    assert QuarticValue(0) != 1 and QuarticValue(0) not in {1}
+    assert str(QuarticValue(1)) == "i" and str(QuarticValue(2)) == "-1"
     assert str(QuarticValue(3)) == "-i"
 
 
@@ -138,9 +141,9 @@ def test_quartic_value_algebra():
 
 def test_quartic_symbol_chain_values_mod_9_minus_4i():
     mod = GaussianInt(9, -4)
-    assert quartic_symbol(I, mod) == 1
-    assert quartic_symbol(GaussianInt(-1, 0), mod) == 1
-    assert quartic_symbol(2, mod) == -1
+    assert quartic_symbol(I, mod) == QuarticValue(0)
+    assert quartic_symbol(GaussianInt(-1, 0), mod) == QuarticValue(0)
+    assert quartic_symbol(2, mod) == QuarticValue(2)
 
 
 def test_quartic_symbol_against_definitional_oracle():
@@ -174,7 +177,7 @@ def test_quartic_symbol_multiplicative():
             continue
         if math.gcd(a.norm(), 97) != 1 or math.gcd(b.norm(), 97) != 1:
             continue
-        want = quartic_symbol(a, mod).as_gaussian() * quartic_symbol(b, mod).as_gaussian()
+        want = QuarticValue(quartic_symbol(a, mod).k + quartic_symbol(b, mod).k)
         assert quartic_symbol(a * b, mod) == want
 
 
@@ -185,7 +188,7 @@ def test_quartic_symbol_composite_modulus():
     for a in (GaussianInt(2, 0), GaussianInt(0, 1), GaussianInt(2, 3)):
         if math.gcd(a.norm(), comp.norm()) != 1:
             continue
-        want = quartic_symbol(a, m1).as_gaussian() * quartic_symbol(a, m2).as_gaussian()
+        want = QuarticValue(quartic_symbol(a, m1).k + quartic_symbol(a, m2).k)
         assert quartic_symbol(a, comp) == want
 
 
@@ -242,7 +245,7 @@ def test_quartic_symbol_matches_oracle_on_composite_moduli():
 def test_quartic_symbol_of_rational_prime_modulus_is_over_both_factors():
     # p = 1 (mod 4) is not a Gaussian prime: (a/p)_4 multiplies the symbols
     # of its two conjugate factors, which is 1 for every rational a prime to p
-    assert quartic_symbol(2, GaussianInt(5, 0)) == 1
+    assert quartic_symbol(2, GaussianInt(5, 0)) == QuarticValue(0)
     assert quartic_symbol(GaussianInt(3, 2), GaussianInt(0, 5)) == QuarticValue(3)
     for p in (13, 17, 29, 197):
         pi = _make_primary(GaussianInt(*_split_prime_parts(p)))
@@ -293,14 +296,14 @@ def test_quadratic_sieve_examples():
         (13, 4): set(),
     }
     for mn, want in cases.items():
-        got = {c.source for c in quadratic_sieve(new_pair(*mn))}
+        got = {c.source for c in quadratic_sieve(PrimPair(*mn))}
         assert got == want, (mn, got)
 
 
 @given(st.sampled_from([(m, n) for m in range(2, 40) for n in range(1, 40)
                         if n < m and (m - n) % 2 == 1 and math.gcd(m, n) == 1]))
 def test_sieve_never_excludes_trivial_solution(mn):
-    for c in quadratic_sieve(new_pair(*mn)):
+    for c in quadratic_sieve(PrimPair(*mn)):
         assert c.satisfied_by(2, 2, 2)
 
 
@@ -379,7 +382,7 @@ def test_engine_case_examples():
                   ("mod16-x-z-even", "power-split-y-even")),
     }
     for mn, (case, assumed, rules) in expect.items():
-        v = parity_engine(new_pair(*mn))
+        v = parity_engine(PrimPair(*mn))
         assert v.applicable and v.all_even
         assert v.case == case
         assert v.assumed_y_gt_1 == assumed
@@ -389,19 +392,19 @@ def test_engine_case_examples():
 def test_engine_inapplicable_cases():
     # residue cases the engine does not cover, with the even member m
     for mn in [(8, 1), (8, 7), (16, 9)]:
-        v = parity_engine(new_pair(*mn))
+        v = parity_engine(PrimPair(*mn))
         assert not v.applicable and not v.all_even
         assert v.case is None and v.note is None
     # the even member is n: declined before any rule is evaluated
     for mn in [(7, 4), (13, 4)]:
-        v = parity_engine(new_pair(*mn))
+        v = parity_engine(PrimPair(*mn))
         assert not v.applicable and not v.all_even and not v.constraints
         assert v.note == "requires the even member to be m"
 
 
 def test_engine_requires_divisibility_by_four():
     for mn in [(2, 1), (6, 1), (7, 2)]:
-        v = parity_engine(new_pair(*mn))
+        v = parity_engine(PrimPair(*mn))
         assert not v.applicable and not v.constraints
         assert v.note == "requires 4 | even member"
 
@@ -411,7 +414,7 @@ def test_engine_constraints_always_allow_trivial_solution():
         for n in range(1, m):
             if (m - n) % 2 == 0 or math.gcd(m, n) != 1:
                 continue
-            v = parity_engine(new_pair(m, n))
+            v = parity_engine(PrimPair(m, n))
             for c in v.constraints:
                 assert c.satisfied_by(2, 2, 2), (m, n, c)
 

@@ -22,7 +22,7 @@ from tripow.search import (
     gaussian_power_structure,
     scan_range,
 )
-from tripow.triples import iter_pairs, new_pair, triple_of
+from tripow.triples import PrimPair, iter_pairs, triple_of
 
 
 def oracle_solutions(p, cap):
@@ -48,7 +48,7 @@ def as_tuples(records):
 
 @pytest.mark.parametrize("mn", [(2, 1), (3, 2), (4, 3), (5, 4), (6, 5)])
 def test_small_pairs_have_only_the_trivial_solution(mn):
-    recs = find_solutions(new_pair(*mn), 40)
+    recs = find_solutions(PrimPair(*mn), 40)
     assert as_tuples(recs) == [(2, 2, 2)]
     assert not recs[0].exceptional
 
@@ -74,7 +74,7 @@ def test_both_routes_match_brute_oracle():
 def test_fast_route_matches_reference_on_random_pairs(mn, cap):
     m, n = mn
     assume((m - n) % 2 == 1 and math.gcd(m, n) == 1)
-    p = new_pair(m, n)
+    p = PrimPair(m, n)
     assert as_tuples(find_solutions(p, cap)) == as_tuples(find_solutions_unpruned(p, cap))
 
 
@@ -127,7 +127,7 @@ def test_scan_range_matches_oracle_on_m_up_to_40_at_cap_40():
 
 
 def test_cap_validation():
-    p = new_pair(2, 1)
+    p = PrimPair(2, 1)
     with pytest.raises(ValueError):
         find_solutions(p, 1)
     with pytest.raises(ValueError):
@@ -143,7 +143,7 @@ def test_exponent_triple_and_record_validation():
         ExponentTriple(0, 1, 1)
     assert ExponentTriple(2, 2, 2).all_even()
     assert not ExponentTriple(2, 3, 2).all_even()
-    p = new_pair(2, 1)
+    p = PrimPair(2, 1)
     with pytest.raises(ValueError, match="not a solution"):
         SolutionRecord(p, ExponentTriple(1, 1, 1), False)
     with pytest.raises(ValueError, match="flag"):

@@ -11,7 +11,6 @@ from tripow.triples import (
     exclusion_conditions,
     iter_pairs,
     min_c_scan,
-    new_pair,
     triple_of,
     two_adic_profile,
 )
@@ -36,7 +35,7 @@ valid_pair = st.sampled_from(brute_pairs(500))
 
 
 def test_pair_normalizes_order():
-    p = new_pair(4, 13)
+    p = PrimPair(4, 13)
     assert (p.m, p.n) == (13, 4)
     assert p.even_member == 4 and p.odd_member == 13
 
@@ -53,20 +52,20 @@ def test_pair_normalizes_order():
 )
 def test_pair_rejections(m, n, msg):
     with pytest.raises(ValueError, match=msg):
-        new_pair(m, n)
+        PrimPair(m, n)
 
 
 @given(valid_pair)
 def test_triple_identity_and_coprimality(mn):
-    t = triple_of(new_pair(*mn))
+    t = triple_of(PrimPair(*mn))
     assert t.a**2 + t.b**2 == t.c**2
     assert math.gcd(t.a, t.b) == math.gcd(t.a, t.c) == math.gcd(t.b, t.c) == 1
 
 
 def test_triple_examples():
-    t = triple_of(new_pair(2, 1))
+    t = triple_of(PrimPair(2, 1))
     assert (t.a, t.b, t.c) == (3, 4, 5)
-    t = triple_of(new_pair(13, 4))
+    t = triple_of(PrimPair(13, 4))
     assert (t.a, t.b, t.c) == (153, 104, 185)
 
 
@@ -82,13 +81,13 @@ def test_triple_examples():
     ],
 )
 def test_profile_examples(m, n, alpha, i, beta, j, e):
-    prof = two_adic_profile(new_pair(m, n))
+    prof = two_adic_profile(PrimPair(m, n))
     assert (prof.alpha, prof.i, prof.beta, prof.j, prof.e) == (alpha, i, beta, j, e)
 
 
 @given(valid_pair.filter(lambda mn: min(mn) > 1 or max(mn) % 2 == 0))
 def test_profile_round_trip(mn):
-    p = new_pair(*mn)
+    p = PrimPair(*mn)
     if p.odd_member == 1:
         return
     prof = two_adic_profile(p)
@@ -100,7 +99,7 @@ def test_profile_round_trip(mn):
 
 def test_profile_odd_member_one_rejected():
     with pytest.raises(ValueError, match="odd member 1"):
-        two_adic_profile(new_pair(2, 1))
+        two_adic_profile(PrimPair(2, 1))
 
 
 # -- exclusion conditions and the scan ---------------------------------------
@@ -108,7 +107,7 @@ def test_profile_odd_member_one_rejected():
 
 def test_exclusion_conditions_for_185_pairs():
     for m, n in [(13, 4), (11, 8)]:
-        conds = exclusion_conditions(new_pair(m, n))
+        conds = exclusion_conditions(PrimPair(m, n))
         assert all(conds.values()), conds
         assert set(conds) == {
             "alpha_ge_2",
@@ -130,7 +129,7 @@ def test_min_c_scan_matches_brute_force_oracle():
     limit = 2000
     best, winners = None, set()
     for m, n in brute_pairs(50):
-        p = new_pair(m, n)
+        p = PrimPair(m, n)
         c = m * m + n * n
         if c > limit or p.odd_member == 1:
             continue
