@@ -40,6 +40,7 @@ __all__ = [
     "laurent_check",
     "lemma_parameter_rechecks",
     "two_log_instance",
+    "TwoLogInputs",
     "TwoLogBound",
     "two_log_lower_bound",
     "threshold_rhs",
@@ -279,7 +280,36 @@ def laurent_check(inst: LaurentInstance):
     return ok, margin, bound
 
 
-def two_log_instance(a2: RInterval, bprime: RInterval) -> LaurentInstance:
+@dataclass(frozen=True)
+class TwoLogInputs:
+    """The corollary's operands a2 and bprime, with what its steps share:
+    a1 = e^3.1 pi, ln bprime and L, each built on first use and kept on
+    this object, at the larger of the two operands' precisions.  A caller
+    builds one per pair of operands, so nothing is kept across calls.
+    """
+
+    a2: RInterval
+    bprime: RInterval
+
+    @property
+    def precision(self) -> int:
+        return max(self.a2.precision, self.bprime.precision)
+
+    @functools.cached_property
+    def a1(self) -> RInterval:
+        return alpha1_constant(self.precision)
+
+    @functools.cached_property
+    def ln_bprime(self) -> RInterval:
+        return self.bprime.ln()
+
+    @functools.cached_property
+    def length(self) -> tuple[int, bool]:
+        """(L, floored), by corollary_L."""
+        return corollary_L(self.ln_bprime)
+
+
+def two_log_instance(inputs: TwoLogInputs) -> LaurentInstance:
     """Instantiate the theorem the way the specialized corollary's proof does.
 
     L comes from bprime, K = 1 + floor(kappa L a1 a2), R2 and S2 balance
@@ -287,9 +317,9 @@ def two_log_instance(a2: RInterval, bprime: RInterval) -> LaurentInstance:
     b1 = b2 are the equal coefficients reproducing bprime.  Works at the
     larger of the two operands' precisions.
     """
-    precision = max(a2.precision, bprime.precision)
-    a1 = alpha1_constant(precision)
-    L, _ = corollary_L(bprime)
+    precision = inputs.precision
+    a1, a2, bprime = inputs.a1, inputs.a2, inputs.bprime
+    L, _ = inputs.length
     kla = RInterval(KAPPA, precision=precision) * L * a1 * a2
     K = 1 + kla.floor()
     R2 = 1 + ((K - 1) * L * a2 / a1).sqrt().floor()
@@ -312,24 +342,24 @@ def two_log_instance(a2: RInterval, bprime: RInterval) -> LaurentInstance:
     )
 
 
-def lemma_parameter_rechecks(inst: LaurentInstance, bprime: RInterval) -> dict[str, bool]:
+def lemma_parameter_rechecks(inst: LaurentInstance, ln_bprime: RInterval) -> dict[str, bool]:
     """Numeric rechecks of the two closed-form bounds the corollary uses."""
-    prec = max(inst.precision, bprime.precision)
+    prec = max(inst.precision, ln_bprime.precision)
     rhs = RInterval(inst.K, precision=prec) * (
         RInterval(Fraction(31, 20), precision=prec) * inst.L
         + RInterval(Fraction(612, 10000), precision=prec)
     )
     gl_ok = inst.g_term().strictly_less(rhs)
-    lnb_ok = not (bprime.ln() + RInterval(Fraction(23264, 10000), precision=prec)).strictly_less(
+    lnb_ok = not (ln_bprime + RInterval(Fraction(23264, 10000), precision=prec)).strictly_less(
         inst.ln_b()
     )
     return {"gL_term_below_closed_form": gl_ok, "ln_b_below_closed_form": lnb_ok}
 
 
-def corollary_L(bprime: RInterval) -> tuple[int, bool]:
+def corollary_L(ln_bprime: RInterval) -> tuple[int, bool]:
     """(L, floored): L = floor((45/62)(ln bprime + 5.49)) + 1, floored at 3,
     and whether that floor at 3 applied."""
-    raw = 1 + (L_SLOPE * (bprime.ln() + Fraction(549, 100))).floor()
+    raw = 1 + (L_SLOPE * (ln_bprime + Fraction(549, 100))).floor()
     return max(3, raw), raw < 3
 
 
@@ -340,7 +370,7 @@ class TwoLogBound:
     L_floored: bool
 
 
-def two_log_lower_bound(a2: RInterval, bprime: RInterval) -> TwoLogBound:
+def two_log_lower_bound(inputs: TwoLogInputs) -> TwoLogBound:
     """Specialized lower bound for the logarithm of the two-log linear form.
 
     ln|form| > -3.741 (ln b' + 6.87)^2 a2 - 31 L / 15 - ln L
@@ -348,17 +378,18 @@ def two_log_lower_bound(a2: RInterval, bprime: RInterval) -> TwoLogBound:
     under the hypotheses a2 >= 1000 + a1 and b' > 0.056.  Works at the
     larger of the two operands' precisions.
     """
-    precision = max(a2.precision, bprime.precision)
-    floor_a2 = RInterval(1000, precision=precision) + alpha1_constant(precision)
+    precision = inputs.precision
+    a2, bprime = inputs.a2, inputs.bprime
+    floor_a2 = RInterval(1000, precision=precision) + inputs.a1
     if not (a2.lo >= floor_a2.hi):
         raise HypothesisError("a2 >= 1000 + a1")
     if not bprime.exact_ends()[0] > Fraction(56, 1000):
         raise HypothesisError("bprime > 0.056")
-    L, floored = corollary_L(bprime)
+    L, floored = inputs.length
     c1 = RInterval(Fraction(3741, 1000), precision=precision)
     c2 = RInterval(Fraction(687, 100), precision=precision)
     c3 = RInterval(Fraction(222, 1000), precision=precision)
-    term = bprime.ln() + c2
+    term = inputs.ln_bprime + c2
     bound = (
         -(c1 * term * term * a2)
         - RInterval(Fraction(31 * L, 15), precision=precision)

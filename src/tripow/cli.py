@@ -28,6 +28,7 @@ from .bounds import (
     HypothesisError,
     THEOREM_FORMS,
     THRESHOLD_PRECISION,
+    TwoLogInputs,
     certify_threshold,
     crossover,
     laurent_check,
@@ -206,8 +207,9 @@ def _parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
-def _parse_magnitude(s: str, precision: int) -> RInterval:
-    """ln of a positive decimal like '1e109948' or '250000', as an interval."""
+def _parse_magnitude(s: str, ln10: RInterval) -> RInterval:
+    """ln of a positive decimal like '1e109948' or '250000', as an interval
+    at the precision of ln10, the interval for ln 10."""
     text = s.strip().lower()
     if "e" in text:
         mant_s, _, exp_s = text.partition("e")
@@ -217,10 +219,9 @@ def _parse_magnitude(s: str, precision: int) -> RInterval:
         mant, exp10 = _parse_fraction(text), 0
     if mant <= 0:
         raise ValueError("magnitude must be positive")
-    ln10 = RInterval(10, precision=precision).ln()
     out = exp10 * ln10
     if mant != 1:
-        out = out + RInterval(mant, precision=precision).ln()
+        out = out + RInterval(mant, precision=ln10.precision).ln()
     return out
 
 
@@ -229,7 +230,8 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
     form = THEOREM_FORMS[theorem]
     prec = config.precision_bits
     at = config.at or f"1e{THEOREM_DEFAULT_EXP10[theorem]}"
-    t0 = _parse_magnitude(at, prec)
+    ln10 = RInterval(10, precision=prec).ln()
+    t0 = _parse_magnitude(at, ln10)
     report = _new_report(
         config,
         {
@@ -249,7 +251,6 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
         "failing_point": cert.failing_point,
     }
     bracket = crossover(form, precision=prec)
-    ln10 = RInterval(10, precision=prec).ln()
     res["crossover"] = {
         "t": _iv_json(bracket),
         "log10_m": _iv_json(bracket / ln10),
@@ -296,11 +297,12 @@ def cmd_laurent(config: RunConfig) -> tuple[dict, int]:
         {"a2": config.a2, "bprime": config.bprime, "precision_bits": prec},
     )
     res = report["results"]
-    bound = two_log_lower_bound(a2, bprime)
+    inputs = TwoLogInputs(a2, bprime)
+    bound = two_log_lower_bound(inputs)
     res["L"] = bound.L
     res["L_floored"] = bound.L_floored
     res["log_form_lower_bound"] = _iv_json(bound.log_lambda_lower)
-    inst = two_log_instance(a2, bprime)
+    inst = two_log_instance(inputs)
     ok, margin, lam = laurent_check(inst)
     res["instance"] = {
         "K": inst.K,
@@ -320,7 +322,7 @@ def cmd_laurent(config: RunConfig) -> tuple[dict, int]:
     res["condition_holds"] = ok
     res["margin"] = _iv_json(margin)
     res["log_bound"] = _iv_json(lam.ln())
-    rechecks = lemma_parameter_rechecks(inst, bprime)
+    rechecks = lemma_parameter_rechecks(inst, inputs.ln_bprime)
     res["rechecks"] = rechecks
     passed = ok and all(rechecks.values())
     return report, (0 if passed else 1)

@@ -16,34 +16,6 @@ from fractions import Fraction
 import functools
 import math
 
-import mpmath
-from mpmath import make_mpf as _make_mpf
-from mpmath.libmp import (
-    fone,
-    from_int,
-    fzero,
-    mpf_add,
-    mpf_gt,
-    mpf_lt,
-    mpf_neg,
-    mpf_pi,
-    mpf_shift,
-    mpi_add,
-    mpi_delta,
-    mpi_div,
-    mpi_exp,
-    mpi_log,
-    mpi_mul,
-    mpi_neg,
-    mpi_pow,
-    mpi_sqrt,
-    mpi_sub,
-    round_ceiling,
-    round_floor,
-    to_int,
-    to_rational,
-)
-
 __all__ = [
     "val_p",
     "perfect_power_exponent",
@@ -294,6 +266,49 @@ def g_divmod(x: GaussianInt, m: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
 # so the endpoints are the same bits it would give at that precision.  Only
 # RInterval decodes them: other modules ask it for exact rationals, floors or
 # decimal strings, and never import mpmath.
+#
+# mpmath is imported on the first interval, not with this module: the exact
+# paths (scan, symbols) never build one, and the import is about a fifth of
+# their process time.  The entry points that make an interval from nothing
+# (RInterval(), RInterval.pi, RInterval.e_const, ln_superfactorial) call
+# _load_mpmath; every other path starts from an interval that exists.
+
+mpmath = None
+
+
+def _load_mpmath() -> None:
+    """Bind mpmath and the libmp names below, once."""
+    global _make_mpf, fone, from_int, fzero, mpf_add, mpf_gt, mpf_lt, mpf_neg
+    global mpf_pi, mpf_shift, mpi_add, mpi_delta, mpi_div, mpi_exp, mpi_log
+    global mpi_mul, mpi_neg, mpi_pow, mpi_sqrt, mpi_sub, round_ceiling
+    global round_floor, to_int, to_rational, mpmath
+    from mpmath import make_mpf as _make_mpf
+    from mpmath.libmp import (
+        fone,
+        from_int,
+        fzero,
+        mpf_add,
+        mpf_gt,
+        mpf_lt,
+        mpf_neg,
+        mpf_pi,
+        mpf_shift,
+        mpi_add,
+        mpi_delta,
+        mpi_div,
+        mpi_exp,
+        mpi_log,
+        mpi_mul,
+        mpi_neg,
+        mpi_pow,
+        mpi_sqrt,
+        mpi_sub,
+        round_ceiling,
+        round_floor,
+        to_int,
+        to_rational,
+    )
+    import mpmath  # bound last: a thread that sees it set finds every name above
 
 
 def _int_mpi(n: int, prec: int) -> tuple:
@@ -332,6 +347,8 @@ class RInterval:
     def __init__(self, lo, hi=None, precision: int = DEFAULT_PRECISION):
         if precision < 8:
             raise ValueError("precision too small")
+        if mpmath is None:
+            _load_mpmath()
         v = _to_mpi(lo, precision)
         if hi is not None:
             v = (v[0], _to_mpi(hi, precision)[1])
@@ -477,11 +494,15 @@ class RInterval:
 
     @staticmethod
     def pi(precision: int = DEFAULT_PRECISION) -> "RInterval":
+        if mpmath is None:
+            _load_mpmath()
         v = mpf_pi(precision, round_floor), mpf_pi(precision, round_ceiling)
         return RInterval._wrap(v, precision)
 
     @staticmethod
     def e_const(precision: int = DEFAULT_PRECISION) -> "RInterval":
+        if mpmath is None:
+            _load_mpmath()
         return RInterval._wrap(mpi_exp((fone, fone), precision), precision)
 
 
@@ -611,6 +632,8 @@ def ln_superfactorial(n: int, precision: int) -> RInterval:
     """
     if n < 0:
         raise ValueError("requires n >= 0")
+    if mpmath is None:
+        _load_mpmath()
     n0 = superfactorial_anchor(precision)
     total = _weighted_log_blocks(n, min(n, n0), precision)
     if n > n0:

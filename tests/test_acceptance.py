@@ -29,6 +29,7 @@ from tripow.bounds import (
     L_SLOPE,
     MU,
     RHO_LOG,
+    TwoLogInputs,
     alpha1_constant,
     certify_threshold,
     crossover,
@@ -249,9 +250,9 @@ def test_criterion_7_corollary_constants_and_parameter_counts():
     k_ceiling = k_at_floor(kappa_max)
     erratum_ok = k_derived <= k_ceiling <= 11028
 
-    inst = two_log_instance(
+    inst = two_log_instance(TwoLogInputs(
         RInterval(1000, precision=prec) + a1, RInterval(Fraction(6, 100), precision=prec)
-    )
+    ))
     counts_ok = inst.L == 3 and inst.K == k_derived and inst.N == 3 * k_derived
 
     # epsilon's upper end is the majorant, which decreases in N, so this

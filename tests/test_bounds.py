@@ -17,6 +17,7 @@ from tripow.bounds import (
     LaurentInstance,
     MU,
     RHO_LOG,
+    TwoLogInputs,
     alpha1_constant,
     certify_threshold,
     corollary_L,
@@ -76,7 +77,7 @@ def test_shift_constant_decomposes():
 def test_fixed_weights():
     a1 = alpha1_constant(PREC)
     assert_within(a1, Fraction(697369, 10000), Fraction(1, 10000))
-    rho = two_log_instance(riv(1100), riv(10)).rho  # e^3.1
+    rho = two_log_instance(TwoLogInputs(riv(1100), riv(10))).rho  # e^3.1
     assert_within(rho, Fraction(221979513, 10**7), Fraction(1, 10**6))
 
 
@@ -161,7 +162,7 @@ def test_epsilon_rejects_tiny_n():
 
 @pytest.fixture(scope="module")
 def worked():
-    return two_log_instance(riv(1100), riv(10))
+    return two_log_instance(TwoLogInputs(riv(1100), riv(10)))
 
 
 def test_worked_instance_parameters(worked):
@@ -195,7 +196,7 @@ def test_worked_instance_main_condition(worked):
 
 
 def test_worked_instance_rechecks(worked):
-    checks = lemma_parameter_rechecks(worked, riv(10))
+    checks = lemma_parameter_rechecks(worked, riv(10).ln())
     assert checks == {
         "gL_term_below_closed_form": True,
         "ln_b_below_closed_form": True,
@@ -254,34 +255,34 @@ def test_mu_and_rho_validation():
 @pytest.mark.parametrize("precision", [200, 512])
 def test_laurent_functions_work_at_operand_precision(precision):
     a2, bprime = riv(1100, precision), riv(10, precision)
-    bound = two_log_lower_bound(a2, bprime)
+    bound = two_log_lower_bound(TwoLogInputs(a2, bprime))
     assert bound.log_lambda_lower.precision == precision
-    inst = two_log_instance(a2, bprime)
+    inst = two_log_instance(TwoLogInputs(a2, bprime))
     assert inst.precision == precision
     assert {iv.precision for iv in (inst.rho, inst.mu, inst.a1, inst.a2)} == {precision}
     assert inst.ln_b().precision == precision
     ok, margin, lam = laurent_check(inst)
     assert ok and margin.precision == lam.precision == precision
-    assert all(lemma_parameter_rechecks(inst, bprime).values())
+    assert all(lemma_parameter_rechecks(inst, bprime.ln()).values())
     # the same instance as at 128 bits, with a narrower margin
-    ref = two_log_instance(riv(1100), riv(10))
+    ref = two_log_instance(TwoLogInputs(riv(1100), riv(10)))
     assert (inst.K, inst.L, inst.R2, inst.S2, inst.b1) == (ref.K, ref.L, ref.R2, ref.S2, ref.b1)
     assert margin.width < laurent_check(ref)[1].width
     # mixed operands work at the larger precision
-    assert two_log_instance(a2, riv(10)).precision == precision
-    assert two_log_lower_bound(riv(1100), bprime).log_lambda_lower.precision == precision
+    assert two_log_instance(TwoLogInputs(a2, riv(10))).precision == precision
+    assert two_log_lower_bound(TwoLogInputs(riv(1100), bprime)).log_lambda_lower.precision == precision
 
 
 # -- the specialized lower bound --------------------------------------------------
 
 
 def test_corollary_length_parameter():
-    assert corollary_L(riv(10)) == (6, False)
-    assert corollary_L(riv(Fraction(6, 100))) == (3, True)
+    assert corollary_L(riv(10).ln()) == (6, False)
+    assert corollary_L(riv(Fraction(6, 100)).ln()) == (3, True)
 
 
 def test_lower_bound_worked_value():
-    res = two_log_lower_bound(riv(1100), riv(10))
+    res = two_log_lower_bound(TwoLogInputs(riv(1100), riv(10)))
     assert res.L == 6 and not res.L_floored
     assert_within(res.log_lambda_lower, Fraction(-3462508, 10), Fraction(1, 1))
     # second oracle input, far above the hypothesis floor: m = 2^1443, n = 3,
@@ -289,7 +290,7 @@ def test_lower_bound_worked_value():
     c = triple_of(PrimPair(2**1443, 3)).c
     a2 = riv(c).ln() + alpha1_constant(PREC)
     bprime = 100 * (1 / riv(Fraction(6973, 100)) + 1 / a2)
-    far = two_log_lower_bound(a2, bprime)
+    far = two_log_lower_bound(TwoLogInputs(a2, bprime))
     with mpmath.workdps(40):
         a2_far = mpmath.log(c) + mpmath.exp(mpmath.mpf("3.1")) * mpmath.pi
         bprime_far = 100 * (1 / mpmath.mpf("69.73") + 1 / a2_far)
@@ -310,16 +311,16 @@ def test_lower_bound_worked_value():
 
 
 def test_lower_bound_floors_short_lengths():
-    res = two_log_lower_bound(riv(1100), riv(Fraction(6, 100)))
+    res = two_log_lower_bound(TwoLogInputs(riv(1100), riv(Fraction(6, 100))))
     assert res.L == 3 and res.L_floored
 
 
 def test_lower_bound_hypotheses():
     with pytest.raises(HypothesisError) as err:
-        two_log_lower_bound(riv(1000), riv(10))
+        two_log_lower_bound(TwoLogInputs(riv(1000), riv(10)))
     assert err.value.hypothesis == "a2 >= 1000 + a1"
     with pytest.raises(HypothesisError) as err:
-        two_log_lower_bound(riv(1100), riv(Fraction(5, 100)))
+        two_log_lower_bound(TwoLogInputs(riv(1100), riv(Fraction(5, 100))))
     assert err.value.hypothesis == "bprime > 0.056"
     assert str(err.value).startswith("hypothesis fails")
 
@@ -327,7 +328,7 @@ def test_lower_bound_hypotheses():
 def test_minor_parameter_counts_at_the_hypothesis_floor():
     # the interesting regime: L = 3 and a2 at its smallest admissible value
     a2 = RInterval(1000, precision=200) + alpha1_constant(200)
-    inst = two_log_instance(a2, riv(Fraction(6, 100), 200))
+    inst = two_log_instance(TwoLogInputs(a2, riv(Fraction(6, 100), 200)))
     assert inst.L == 3
     assert inst.K == 11027
     assert inst.N == 33081

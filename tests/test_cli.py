@@ -1,9 +1,11 @@
 """Exit codes, report shapes, determinism, and configuration plumbing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -12,6 +14,7 @@ import pytest
 import tripow
 from tripow import bounds
 from tripow.cli import main
+from tripow.numerics import RInterval
 from tripow.triples import iter_pairs
 
 
@@ -358,6 +361,32 @@ def test_laurent_sums_superfactorial_once_per_instance(monkeypatch, capsys):
     assert calls == {"ln_b": 3, "sum": 1}
 
 
+def test_laurent_builds_shared_corollary_values_once(monkeypatch, capsys):
+    # a1, L and ln b' feed the lower bound, the instance and the rechecks
+    calls = {"a1": 0, "L": 0, "ln_bprime": 0}
+    a1, corollary_L, ln = bounds.alpha1_constant, bounds.corollary_L, RInterval.ln
+    bprime = Fraction(175, 1000)
+
+    def counted_a1(*args):
+        calls["a1"] += 1
+        return a1(*args)
+
+    def counted_L(*args):
+        calls["L"] += 1
+        return corollary_L(*args)
+
+    def counted_ln(self):
+        calls["ln_bprime"] += self.contains(bprime)
+        return ln(self)
+
+    monkeypatch.setattr(bounds, "alpha1_constant", counted_a1)
+    monkeypatch.setattr(bounds, "corollary_L", counted_L)
+    monkeypatch.setattr(RInterval, "ln", counted_ln)
+    code, _, _ = run_json(capsys, "laurent", "--a2", "1285", "--bprime", "0.175")
+    assert code == 0
+    assert calls == {"a1": 1, "L": 1, "ln_bprime": 1}
+
+
 def test_laurent_requires_inputs(capsys):
     code, _, err = run(capsys, "laurent", "--a2", "1100")
     assert code == 2 and "bprime" in err
@@ -506,8 +535,20 @@ def test_repeated_calls_repeat_their_first_output(tmp_path, capsys):
         assert [_call(capsys, argv) for argv in calls] == first
 
 
-def test_cli_runs_without_sympy():
+def _fresh_python(script: str) -> str:
+    """stdout of script run in a new interpreter that imports tripow from
+    this checkout; fails the test if the script fails."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(tripow.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_runs_without_sympy():
     script = (
         "import contextlib, io, sys\n"
         "import tripow.cli\n"
@@ -519,10 +560,47 @@ def test_cli_runs_without_sympy():
         "    )]\n"
         "print(codes, 'sympy' in sys.modules)\n"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", script],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=120,
+    assert _fresh_python(script).split() == ["[0,", "0,", "0]", "False"]
+
+
+def test_exact_commands_run_without_mpmath():
+    # mpmath loads on the first interval: scan and symbols build none
+    script = (
+        "import contextlib, io, sys\n"
+        "import tripow.cli\n"
+        "def call(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "            contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = tripow.cli.main(list(argv))\n"
+        "    print(code, 'mpmath' in sys.modules)\n"
+        "print(0, 'mpmath' in sys.modules)\n"
+        "call('scan', '--m-max', '40', '--cap', '40')\n"
+        "call('symbols', '--quartic', '2', '--mod', '9,-4')\n"
+        "call('threshold', '--theorem', '1.3')\n"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[0,", "0,", "0]", "False"]
+    lines = _fresh_python(script).splitlines()
+    assert lines == ["0 False", "0 False", "0 False", "0 True"]
+
+
+@pytest.mark.parametrize(
+    "expr, value",
+    [
+        ("RInterval(3)", 3.0),
+        ("RInterval.pi(128)", math.pi),
+        ("RInterval.e_const(128)", math.e),
+        ("ln_superfactorial(100, 128)", sum(math.lgamma(k + 1) for k in range(1, 101))),
+    ],
+)
+def test_interval_entry_points_load_mpmath(expr, value):
+    # each entry point runs first in its own interpreter, so one that
+    # skipped the load would fail with a NameError here
+    script = (
+        "import sys\n"
+        "from tripow.numerics import RInterval, ln_superfactorial\n"
+        "before = 'mpmath' in sys.modules\n"
+        f"iv = {expr}\n"
+        "print(before, 'mpmath' in sys.modules, float(iv.lo), float(iv.hi))\n"
+    )
+    before, after, lo, hi = _fresh_python(script).split()
+    assert (before, after) == ("False", "True")
+    assert abs(float(lo) - value) <= 1e-12 * value and abs(float(hi) - value) <= 1e-12 * value

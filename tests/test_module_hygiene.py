@@ -81,6 +81,31 @@ def test_only_numerics_imports_mpmath(path):
     assert sorted(m for m in modules if m.split(".")[0] == "mpmath") == []
 
 
+def load_time_imports(tree: ast.Module) -> set[str]:
+    """Modules imported by statements that run when the module loads,
+    that is, anywhere outside a function body."""
+    modules = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules.add(node.module)
+        stack.extend(ast.iter_child_nodes(node))
+    return modules
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_imports_mpmath_at_load(path):
+    # numerics imports mpmath on its first interval, so that scan and
+    # symbols, which build none, never pay for the import
+    modules = load_time_imports(parse(path))
+    assert sorted(m for m in modules if m.split(".")[0] == "mpmath") == []
+
+
 def referenced_names(tree: ast.Module) -> set[str]:
     """Names a module reads, imports by name, or reads as an attribute."""
     names = set()
