@@ -12,10 +12,11 @@ pieces are:
   recomputed rather than trusted,
 * a threshold certifier proving t^q dominates the final inequality's
   right-hand side for every t beyond a stated point: a strict check at
-  the point, interval derivative positivity along a geometric grid, and
-  an analytic tail where the exponential wins over the squared log.  The
-  tail starts at a stated w = ln ln(2m) per form (tail_from = e^w ~ 268,337
-  for theorem 1.2, 59,874 for 1.3), certified on every call, not trusted.
+  the point, interval derivative positivity over a geometric grid (the
+  whole grid at once, bisected only where that fails), and an analytic
+  tail where the exponential wins over the squared log.  The tail starts
+  at a stated w = ln ln(2m) per form (tail_from = e^w ~ 268,337 for
+  theorem 1.2, 59,874 for 1.3), certified on every call, not trusted.
 
 Every function that takes an RInterval works at that interval's precision.
 """
@@ -283,9 +284,10 @@ def laurent_check(inst: LaurentInstance):
 @dataclass(frozen=True)
 class TwoLogInputs:
     """The corollary's operands a2 and bprime, with what its steps share:
-    a1 = e^3.1 pi, ln bprime and L, each built on first use and kept on
-    this object, at the larger of the two operands' precisions.  A caller
-    builds one per pair of operands, so nothing is kept across calls.
+    rho = e^3.1, a1 = rho pi, ln bprime and L, each built on first use and
+    kept on this object, at the larger of the two operands' precisions.
+    A caller builds one per pair of operands, so nothing is kept across
+    calls.
     """
 
     a2: RInterval
@@ -296,8 +298,13 @@ class TwoLogInputs:
         return max(self.a2.precision, self.bprime.precision)
 
     @functools.cached_property
+    def rho(self) -> RInterval:
+        return RInterval(RHO_LOG, precision=self.precision).exp()
+
+    @functools.cached_property
     def a1(self) -> RInterval:
-        return alpha1_constant(self.precision)
+        """alpha1_constant(precision), bit for bit, from the rho built here."""
+        return self.rho * RInterval.pi(self.precision)
 
     @functools.cached_property
     def ln_bprime(self) -> RInterval:
@@ -333,7 +340,7 @@ def two_log_instance(inputs: TwoLogInputs) -> LaurentInstance:
         R2=R2,
         S1=(L + 1) // 2,
         S2=S2,
-        rho=RInterval(RHO_LOG, precision=precision).exp(),
+        rho=inputs.rho,
         mu=RInterval(MU, precision=precision),
         b1=b,
         b2=b,
@@ -577,9 +584,17 @@ def certify_threshold(form, t0: RInterval) -> ThresholdCert:
     """Certify t^form > RHS(t) for every t >= t0, at t0's precision.
 
     Strict interval comparison at t0, then interval positivity of the
-    derivative of t^form - RHS(t) along a geometric grid (ratio
-    GRID_RATIO) up to the tail start, then the analytic tail of
-    _tail_start.
+    derivative of t^form - RHS(t) on [t0, tail start], then the analytic
+    tail of _tail_start.
+
+    The derivative step works over a geometric grid (ratio GRID_RATIO)
+    from t0 to the tail start.  It first encloses the derivative once
+    over the whole grid; where an enclosure is not strictly positive it
+    halves that run of cells, leftmost half first, down to single cells.
+    Each positive enclosure proves its whole union, so the proof covers
+    every cell, and the first single cell that fails gives failing_point,
+    its left end.  segments is the grid's cell count, len(points) - 1,
+    however few enclosures it took.
     """
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
@@ -606,12 +621,18 @@ def certify_threshold(form, t0: RInterval) -> ThresholdCert:
         points = [lo]
         while points[-1] < end:
             points.append(points[-1] * GRID_RATIO)
-        for i in range(len(points) - 1):
-            seg = RInterval(points[i], points[i + 1], precision=precision)
+        todo = [(0, len(points) - 1)]  # index ranges; the leftmost is on top
+        while todo:
+            i, j = todo.pop()
+            seg = RInterval(points[i], points[j], precision=precision)
             deriv = form_iv * seg.pow_frac(slope_exp) - _rhs_derivative(seg)
-            if not deriv.strictly_positive():
+            if deriv.strictly_positive():
+                continue
+            if j - i == 1:
                 cert.failing_point = float(points[i])
                 return cert
+            mid = (i + j) // 2
+            todo += [(mid, j), (i, mid)]
         cert.segments = len(points) - 1
     cert.verdict = True
     return cert

@@ -81,6 +81,14 @@ def test_fixed_weights():
     assert_within(rho, Fraction(221979513, 10**7), Fraction(1, 10**6))
 
 
+@pytest.mark.parametrize("precision", (64, 128, 200, 512, 1024))
+def test_two_log_inputs_share_rho_and_keep_a1_bit_equal(precision):
+    inputs = TwoLogInputs(riv(1100, precision), riv(10, precision))
+    assert inputs.rho.exact_ends() == riv(RHO_LOG, precision).exp().exact_ends()
+    assert inputs.a1.exact_ends() == alpha1_constant(precision).exact_ends()
+    assert two_log_instance(inputs).rho is inputs.rho
+
+
 # -- epsilon(N) ------------------------------------------------------------------
 
 
@@ -496,6 +504,106 @@ def test_tail_start_makes_one_interval_exp(monkeypatch, form):
     monkeypatch.setattr(RInterval, "exp", counted)
     assert bounds._tail_start(form, 256) == bounds.TAIL_START[form]
     assert len(calls) == 1
+
+
+def _grid(form, t0: RInterval) -> list[Fraction]:
+    """certify_threshold's geometric grid from t0 to the tail start."""
+    precision = t0.precision
+    end = RInterval(bounds.TAIL_START[form], precision=precision).exp().exact_ends()[1]
+    points = [t0.exact_ends()[0]]
+    while points[-1] < end:
+        points.append(points[-1] * bounds.GRID_RATIO)
+    return points
+
+
+def _certify_by_cells(form, t0: RInterval) -> bounds.ThresholdCert:
+    """The reference route: the sign at t0, the tail, then the derivative
+    on every grid cell in turn, stopping at the first that fails."""
+    form = Fraction(form)
+    precision = t0.precision
+    cert = bounds.ThresholdCert(t0=t0)
+    if bounds._threshold_sign(form, t0) != 1:
+        cert.failing_point = float(t0.mid)
+        return cert
+    w_tail = bounds._tail_start(form, precision)
+    if w_tail is None:
+        cert.failing_point = float(t0.mid)
+        return cert
+    cert.tail_from = float(RInterval(w_tail, precision=precision).exp().lo)
+    points = _grid(form, t0)
+    if len(points) > 1:
+        form_iv = RInterval(form, precision=precision)
+        slope_exp = RInterval(form - 1, precision=precision)
+        for a, b in zip(points, points[1:]):
+            seg = RInterval(a, b, precision=precision)
+            deriv = form_iv * seg.pow_frac(slope_exp) - bounds._rhs_derivative(seg)
+            if not deriv.strictly_positive():
+                cert.failing_point = float(a)
+                return cert
+        cert.segments = len(points) - 1
+    cert.verdict = True
+    return cert
+
+
+def _cert_fields(cert: bounds.ThresholdCert) -> tuple:
+    return cert.verdict, cert.segments, cert.failing_point, cert.tail_from
+
+
+def _threshold_start(form, precision: int, where: str) -> RInterval:
+    """A t0 just above the crossover bracket, mid-grid, just below the
+    tail start, or beyond it."""
+    above = crossover(form, precision).exact_ends()[1] + Fraction(1, 100)
+    tail_lo, tail_hi = RInterval(bounds.TAIL_START[form], precision=precision).exp().exact_ends()
+    t = {
+        "above_crossover": above,
+        "mid_grid": (above + tail_lo) / 2,
+        "below_tail": tail_lo - 1,
+        "beyond_tail": tail_hi + 1,
+    }[where]
+    return RInterval(t, precision=precision)
+
+
+THRESHOLD_STARTS = ("above_crossover", "mid_grid", "below_tail", "beyond_tail")
+CERT_PRECISIONS = (64, 128, 256, 512, 1024)
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", CERT_PRECISIONS)
+@pytest.mark.parametrize("where", THRESHOLD_STARTS)
+def test_certify_threshold_matches_cells(form, precision, where):
+    t0 = _threshold_start(form, precision, where)
+    cert = certify_threshold(form, t0)
+    assert cert.verdict
+    assert _cert_fields(cert) == _cert_fields(_certify_by_cells(form, t0))
+    assert cert.segments == len(_grid(form, t0)) - 1
+
+
+@pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
+@pytest.mark.parametrize("precision", CERT_PRECISIONS)
+@pytest.mark.parametrize("cells", ("first", "middle", "last", "middle_and_last"))
+def test_certify_threshold_fails_on_the_blurred_cell(monkeypatch, form, precision, cells):
+    # widen the derivative on every segment that holds a chosen cell, so
+    # every union over it fails and only that single cell can report it;
+    # with two chosen cells the left one is reported
+    t0 = _threshold_start(form, precision, "above_crossover")
+    points = _grid(form, t0)
+    n = len(points) - 1
+    assert n >= 3
+    chosen = {"first": [0], "middle": [n // 2], "last": [n - 1], "middle_and_last": [n // 2, n - 1]}
+    insides = [(points[k] + points[k + 1]) / 2 for k in chosen[cells]]
+    real = bounds._rhs_derivative
+
+    def blurred(t):
+        out = real(t)
+        if any(t.contains(x) for x in insides):
+            out = out + RInterval(-1, 1, precision=out.precision)
+        return out
+
+    monkeypatch.setattr(bounds, "_rhs_derivative", blurred)
+    cert = certify_threshold(form, t0)
+    assert not cert.verdict and cert.segments == 0
+    assert cert.failing_point == float(points[chosen[cells][0]])
+    assert _cert_fields(cert) == _cert_fields(_certify_by_cells(form, t0))
 
 
 def test_certify_threshold_rejects_other_forms():

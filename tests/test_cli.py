@@ -226,11 +226,35 @@ def test_threshold_reports_match_pins(capsys):
     the crossover estimate moved to floats: each argv went through
     ``tripow.cli.main``, and its exit code and parsed JSON stdout were
     saved.  The set is the default runs of theorems 1.2 and 1.3, theorem
-    1.2 at 64 and 512 bits, and the refuted point 1e50000.  A change that
-    is meant to alter these reports must re-pin them the same way and say
-    why.
+    1.2 at 64 and 512 bits, and the refuted point 1e50000.  The 18 pins
+    after them were made the same way at commit a7f45ed, before the
+    derivative grid was certified by bisection: the first round of the
+    benchmark's ``Threshold(1)`` workload, both theorems at 128, 256 and
+    384 bits, each at one point of the two certifying ``--at`` strata and
+    one of the refuted stratum.  A change that is meant to alter these
+    reports must re-pin them the same way and say why.
     """
-    check_pins(capsys, THRESHOLD_PINS, 5)
+    check_pins(capsys, THRESHOLD_PINS, 23)
+
+
+def test_threshold_certifies_the_grid_in_one_derivative_enclosure(monkeypatch, capsys):
+    # above the crossover one enclosure over the whole derivative grid is
+    # already positive; a point refuted at t0 never reaches the grid
+    calls = []
+    real = bounds._rhs_derivative
+
+    def counted(t):
+        calls.append(t)
+        return real(t)
+
+    monkeypatch.setattr(bounds, "_rhs_derivative", counted)
+    counts = []
+    for pin in json.loads(THRESHOLD_PINS.read_text())[:5]:
+        calls.clear()
+        code, rep, _ = run_json(capsys, *pin["argv"])
+        assert code == pin["exit_code"]
+        counts.append((rep["results"]["certificate"]["verdict"], len(calls)))
+    assert counts == [(True, 1)] * 4 + [(False, 0)]
 
 
 def check_pins(capsys, path: Path, count: int):
@@ -362,9 +386,11 @@ def test_laurent_sums_superfactorial_once_per_instance(monkeypatch, capsys):
 
 
 def test_laurent_builds_shared_corollary_values_once(monkeypatch, capsys):
-    # a1, L and ln b' feed the lower bound, the instance and the rechecks
-    calls = {"a1": 0, "L": 0, "ln_bprime": 0}
-    a1, corollary_L, ln = bounds.alpha1_constant, bounds.corollary_L, RInterval.ln
+    # rho = e^3.1 feeds a1 and the instance; a1, L and ln b' feed the lower
+    # bound, the instance and the rechecks
+    calls = {"rho": 0, "a1": 0, "L": 0, "ln_bprime": 0}
+    a1_prop = bounds.TwoLogInputs.__dict__["a1"]
+    a1, corollary_L, ln, exp = a1_prop.func, bounds.corollary_L, RInterval.ln, RInterval.exp
     bprime = Fraction(175, 1000)
 
     def counted_a1(*args):
@@ -379,12 +405,17 @@ def test_laurent_builds_shared_corollary_values_once(monkeypatch, capsys):
         calls["ln_bprime"] += self.contains(bprime)
         return ln(self)
 
-    monkeypatch.setattr(bounds, "alpha1_constant", counted_a1)
+    def counted_exp(self):
+        calls["rho"] += self.contains(bounds.RHO_LOG)
+        return exp(self)
+
+    monkeypatch.setattr(a1_prop, "func", counted_a1)
     monkeypatch.setattr(bounds, "corollary_L", counted_L)
     monkeypatch.setattr(RInterval, "ln", counted_ln)
+    monkeypatch.setattr(RInterval, "exp", counted_exp)
     code, _, _ = run_json(capsys, "laurent", "--a2", "1285", "--bprime", "0.175")
     assert code == 0
-    assert calls == {"a1": 1, "L": 1, "ln_bprime": 1}
+    assert calls == {"rho": 1, "a1": 1, "L": 1, "ln_bprime": 1}
 
 
 def test_laurent_requires_inputs(capsys):
