@@ -16,7 +16,8 @@ pieces are:
   whole grid at once, bisected only where that fails), and an analytic
   tail where the exponential wins over the squared log.  The tail starts
   at a stated w = ln ln(2m) per form (tail_from = e^w ~ 268,337 for
-  theorem 1.2, 59,874 for 1.3), certified on every call, not trusted.
+  theorem 1.2, 59,874 for 1.3), certified, not trusted, once per
+  (form, precision) in a process.
 
 Every function that takes an RInterval works at that interval's precision.
 """
@@ -509,9 +510,10 @@ class ThresholdCert:
 
 def _threshold_sign(form: Fraction, t: RInterval) -> int:
     """+1 if t^form > RHS(t) is certified at t, -1 if t^form < RHS(t) is,
-    and 0 if the intervals overlap (undecided at this precision)."""
-    lhs = t.pow_frac(form)
+    and 0 if the intervals overlap (undecided at this precision).  The RHS
+    comes first, so a t outside its domain gets the RHS's own message."""
     rhs = threshold_rhs(t)
+    lhs = t.pow_frac(form)
     if rhs.strictly_less(lhs):
         return 1
     if lhs.strictly_less(rhs):
@@ -563,15 +565,17 @@ def _tail_h(form: Fraction, w_t: Fraction, precision: int) -> tuple[RInterval, R
     return h, form_iv - k.two / (w + c_shift)
 
 
+@functools.cache
 def _tail_start(form: Fraction, precision: int) -> Fraction | None:
     """TAIL_START[form] once h and h' certify positive there, else None:
     then t^form > RHS(t) for every t with ln(t + ln 2) >= it.
 
     The starts, 25/2 for 3/5 (tail_from = e^w ~ 268,337) and 11 for 2/3
     (59,874), are the least w in 10, 10.5, ... with h(w) > 0.  They are
-    certified on every call all the same: a certificate holds at the
-    caller's precision only if each of its steps was decided there, so
-    an h that this precision cannot decide fails the certificate.
+    certified all the same, once per (form, precision) in a process, at
+    that precision: a certificate holds at the caller's precision only if
+    each of its steps was decided there, so an h that this precision
+    cannot decide fails the certificate.
     """
     w_t = TAIL_START[form]
     tail = _tail_h(form, w_t, precision) if _TAIL_MAJORANT_HOLDS else None
@@ -696,10 +700,20 @@ def crossover(form, precision: int = THRESHOLD_PRECISION) -> RInterval:
     cell, or k, by one and is certified again.  A sign that the interval
     cannot decide raises ValueError: the bracket is never widened or
     moved off the grid to get past it.
+
+    The bracket is certified once per (form, precision) in a process, at
+    that precision, and then shared; an undecided sign raises, so it is
+    never kept.
     """
     form = Fraction(form)
     if form not in THEOREM_FORMS.values():
         raise ValueError("form must be 3/5 or 2/3")
+    return _crossover_bracket(form, precision)
+
+
+@functools.cache
+def _crossover_bracket(form: Fraction, precision: int) -> RInterval:
+    """crossover's bracket for a validated form; see crossover."""
 
     def sign_at(t: Fraction) -> int:
         sign = _threshold_sign(form, RInterval(t, precision=precision))

@@ -214,7 +214,10 @@ def _parse_magnitude(s: str, ln10: RInterval) -> RInterval:
     if "e" in text:
         mant_s, _, exp_s = text.partition("e")
         mant = _parse_fraction(mant_s) if mant_s else Fraction(1)
-        exp10 = int(exp_s)
+        try:
+            exp10 = int(exp_s)
+        except ValueError:
+            raise ValueError(f"invalid magnitude {s!r}: bad exponent") from None
     else:
         mant, exp10 = _parse_fraction(text), 0
     if mant <= 0:

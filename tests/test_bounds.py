@@ -714,6 +714,37 @@ def test_crossover_never_nudges(monkeypatch, capsys):
     assert "precision" in capsys.readouterr().err
 
 
+def test_crossover_keeps_no_undecided_bracket(monkeypatch):
+    # a raised ValueError is not cached, so once the RHS is sharp again the
+    # next call certifies the bracket
+    _, hi = _crossover_by_bisection(Fraction(2, 3), 128).exact_ends()
+    real = bounds.threshold_rhs
+
+    def blurred(t):
+        out = real(t)
+        if t.contains(hi):
+            out = out + RInterval(-1, 1, precision=out.precision)
+        return out
+
+    monkeypatch.setattr(bounds, "threshold_rhs", blurred)
+    with pytest.raises(ValueError, match="precision"):
+        crossover(Fraction(2, 3), 128)
+    monkeypatch.undo()
+    assert crossover(Fraction(2, 3), precision=128).exact_ends() == (
+        _crossover_by_bisection(Fraction(2, 3), 128).exact_ends()
+    )
+
+
+def test_crossover_shares_one_bracket_per_form_and_precision(monkeypatch):
+    # the key is (Fraction(form), precision), however the caller spells them
+    first = crossover(Fraction(3, 5), 256)
+    monkeypatch.setattr(bounds, "threshold_rhs", None)  # no further RHS call
+    assert crossover("3/5", precision=256) is first
+    assert crossover(Fraction(6, 10), 256) is first
+    with pytest.raises(ValueError, match="form"):
+        crossover(Fraction(1, 2), 256)
+
+
 # -- one RHS body over two number types, and crossover's cost ---------------------
 
 TABLE_PRECISIONS = (64, 80, 96, 128, 192, 256, 384, 512, 768, 1024)

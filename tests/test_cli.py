@@ -216,6 +216,23 @@ def test_threshold_rejects_bad_magnitude(capsys):
     assert code == 2 and "error:" in err
 
 
+@pytest.mark.parametrize(
+    "at, message",
+    [
+        ("1", "requires t = ln m > 1000"),
+        ("0.5", "requires t = ln m > 1000"),
+        ("1e-5", "requires t = ln m > 1000"),
+        ("e5", "requires t = ln m > 1000"),
+        ("1e", "invalid magnitude '1e': bad exponent"),
+    ],
+)
+def test_threshold_out_of_domain_magnitude_is_named(capsys, at, message):
+    # a point with t = ln m <= 1000 gets the RHS's domain, not an
+    # interval primitive's complaint; a bad exponent names the magnitude
+    code, out, err = run(capsys, "threshold", "--at", at, "--format", "json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 THRESHOLD_PINS = Path(__file__).with_name("threshold_reports.json")
 
 
@@ -261,9 +278,26 @@ def check_pins(capsys, path: Path, count: int):
     pins = json.loads(path.read_text())
     assert len(pins) == count
     for pin in pins:
-        code, out, _ = run(capsys, *pin["argv"])
-        assert code == pin["exit_code"], pin["argv"]
-        assert out == json.dumps(pin["report"], sort_keys=True, indent=2) + "\n", pin["argv"]
+        check_pin(capsys, pin)
+
+
+def check_pin(capsys, pin: dict):
+    code, out, err = run(capsys, *pin["argv"])
+    assert code == pin["exit_code"], pin["argv"]
+    assert out == json.dumps(pin["report"], sort_keys=True, indent=2) + "\n", pin["argv"]
+    return err
+
+
+def test_threshold_pins_hold_cold_and_warm(capsys, threshold_caches):
+    # crossover's bracket and the tail start are kept per (form, precision);
+    # a report made from them must not differ from one that certified them
+    pins = json.loads(THRESHOLD_PINS.read_text())
+    cold = []
+    for pin in pins:
+        threshold_caches()
+        cold.append(check_pin(capsys, pin))
+    warm = [check_pin(capsys, pin) for pin in reversed(pins)]
+    assert cold == warm[::-1] == [""] * len(pins)
 
 
 COMMAND_PINS = Path(__file__).with_name("command_reports.json")

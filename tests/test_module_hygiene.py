@@ -145,3 +145,44 @@ def test_bounds_interval_functions_take_no_precision():
         ):
             both.append(node.name)
     assert both == []
+
+
+def endpoint_writes(tree: ast.Module) -> list[str]:
+    """Qualified names of the functions that assign an object's _v or
+    precision, by attribute assignment or by setattr with that name."""
+    fields = {"_v", "precision"}
+    writers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            targets = []
+            if isinstance(child, ast.Assign):
+                targets = child.targets
+            elif isinstance(child, (ast.AugAssign, ast.AnnAssign)):
+                targets = [child.target]
+            hits = any(
+                isinstance(n, ast.Attribute) and n.attr in fields
+                for t in targets for n in ast.walk(t)
+            )
+            if isinstance(child, ast.Call) and "setattr" in ast.unparse(child.func):
+                hits = any(
+                    isinstance(a, ast.Constant) and a.value in fields for a in child.args
+                )
+            if hits:
+                writers.append(scope)
+            visit(child, inner)
+
+    visit(tree, "")
+    return writers
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_rinterval_is_written_only_where_it_is_built(path):
+    # crossover's bracket and other cached intervals are shared between
+    # calls, so an RInterval's endpoints and precision must never change
+    # after RInterval.__init__ or RInterval._wrap has set them
+    allowed = {"RInterval.__init__", "RInterval._wrap"} if path.name == "numerics.py" else set()
+    assert sorted(set(endpoint_writes(parse(path))) - allowed) == []
