@@ -30,7 +30,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .numerics import DEFAULT_PRECISION, RInterval, ln_superfactorial
+from .numerics import DEFAULT_PRECISION, RInterval, ln_constant, ln_superfactorial
 from .triples import PrimPair, triple_of, two_adic_profile
 
 __all__ = [
@@ -50,7 +50,6 @@ __all__ = [
     "THEOREM_FORMS",
     "certify_threshold",
     "crossover",
-    "alpha1_constant",
 ]
 
 THRESHOLD_PRECISION = 256
@@ -89,11 +88,6 @@ class HypothesisError(ValueError):
         self.hypothesis = hypothesis
 
 
-def alpha1_constant(precision: int = DEFAULT_PRECISION) -> RInterval:
-    """a1 = e^3.1 * pi, the fixed first-logarithm weight."""
-    return RInterval(RHO_LOG, precision=precision).exp() * RInterval.pi(precision)
-
-
 def y_upper_bound(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
     """Enclosure of min(ln n / ln 3, ln(2(m-1)) / ((alpha+1) ln 2)).
 
@@ -102,11 +96,9 @@ def y_upper_bound(p: PrimPair, precision: int = DEFAULT_PRECISION) -> RInterval:
     """
     prof = two_adic_profile(p)
     m, n = p.m, p.n
-    ln3 = RInterval(3, precision=precision).ln()
-    ln2 = RInterval(2, precision=precision).ln()
-    first = RInterval(n, precision=precision).ln() / ln3
+    first = RInterval(n, precision=precision).ln() / ln_constant(3, precision)
     second = RInterval(2 * (m - 1), precision=precision).ln() / (
-        RInterval(prof.alpha + 1, precision=precision) * ln2
+        RInterval(prof.alpha + 1, precision=precision) * ln_constant(2, precision)
     )
     return first.min(second)
 
@@ -130,9 +122,8 @@ def ordering_predicates(p: PrimPair, t, precision: int = DEFAULT_PRECISION) -> d
     tr = triple_of(p)
     ln_c = RInterval(tr.c, precision=precision).ln()
     ln_b = RInterval(tr.b, precision=precision).ln()
-    ln_2 = RInterval(2, precision=precision).ln()
     lhs = RInterval(z, precision=precision) * ln_c
-    rhs = ln_2 + RInterval(y, precision=precision) * ln_b
+    rhs = ln_constant(2, precision) + RInterval(y, precision=precision) * ln_b
     preds = {
         "z_lt_2x": z < 2 * x,
         "z_lt_2y": z < 2 * y,
@@ -264,7 +255,7 @@ def laurent_check(inst: LaurentInstance):
     mu_lo, mu_hi = inst.mu.exact_ends()
     if not (mu_lo >= Fraction(1, 3) and mu_hi <= 1):
         raise ValueError("requires 1/3 <= mu <= 1")
-    if not inst.rho.lo > 1:
+    if not inst.rho.exact_ends()[0] > 1:
         raise ValueError("requires rho > 1")
     ln_rho = inst.rho.ln()
     sigma = inst.sigma()
@@ -304,7 +295,7 @@ class TwoLogInputs:
 
     @functools.cached_property
     def a1(self) -> RInterval:
-        """alpha1_constant(precision), bit for bit, from the rho built here."""
+        """a1 = e^3.1 pi, the fixed first-logarithm weight (its one definition)."""
         return self.rho * RInterval.pi(self.precision)
 
     @functools.cached_property
@@ -389,7 +380,7 @@ def two_log_lower_bound(inputs: TwoLogInputs) -> TwoLogBound:
     precision = inputs.precision
     a2, bprime = inputs.a2, inputs.bprime
     floor_a2 = RInterval(1000, precision=precision) + inputs.a1
-    if not (a2.lo >= floor_a2.hi):
+    if not a2.exact_ends()[0] >= floor_a2.exact_ends()[1]:
         raise HypothesisError("a2 >= 1000 + a1")
     if not bprime.exact_ends()[0] > Fraction(56, 1000):
         raise HypothesisError("bprime > 0.056")
@@ -438,7 +429,7 @@ _RHS_EXACT = (
 def _rhs_consts(precision: int) -> _RhsConsts:
     """The constants as intervals at this precision, built on first use."""
     exact = [RInterval(c, precision=precision) for c in _RHS_EXACT]
-    return _RhsConsts(*exact, exact[-1].ln())
+    return _RhsConsts(*exact, ln_constant(2, precision))
 
 
 # the same constants in floats, for locating the crossover only
@@ -480,7 +471,7 @@ def threshold_rhs(t: RInterval) -> RInterval:
     value only picks which grid cell crossover certifies; every sign and
     verdict rests on this interval enclosure.
     """
-    if not t.lo > 1000:
+    if not t.exact_ends()[0] > 1000:
         raise ValueError("requires t = ln m > 1000")
     return _rhs(t, _rhs_consts(t.precision))
 
@@ -584,6 +575,19 @@ def _tail_start(form: Fraction, precision: int) -> Fraction | None:
     return None
 
 
+@functools.cache
+def _tail_exp(form: Fraction, precision: int) -> RInterval | None:
+    """e^w for the certified tail start w = _tail_start(form, precision), the
+    tail_from of a certificate, or None; kept beside it."""
+    w_tail = _tail_start(form, precision)
+    return None if w_tail is None else RInterval(w_tail, precision=precision).exp()
+
+
+def _mid_float(t: RInterval) -> float:
+    """The double nearest the exact midpoint of t."""
+    return float(sum(t.exact_ends()) / 2)
+
+
 def certify_threshold(form, t0: RInterval) -> ThresholdCert:
     """Certify t^form > RHS(t) for every t >= t0, at t0's precision.
 
@@ -606,18 +610,17 @@ def certify_threshold(form, t0: RInterval) -> ThresholdCert:
     precision = t0.precision
     cert = ThresholdCert(t0=t0)
     if _threshold_sign(form, t0) != 1:
-        cert.failing_point = float(t0.mid)
+        cert.failing_point = _mid_float(t0)
         return cert
 
-    w_tail = _tail_start(form, precision)
-    if w_tail is None:
-        cert.failing_point = float(t0.mid)
+    tail_start = _tail_exp(form, precision)
+    if tail_start is None:
+        cert.failing_point = _mid_float(t0)
         return cert
-    tail_start = RInterval(w_tail, precision=precision).exp()
-    cert.tail_from = float(tail_start.lo)
+    tail_lo, end = tail_start.exact_ends()
+    cert.tail_from = float(tail_lo)
 
     lo = t0.exact_ends()[0]
-    end = tail_start.exact_ends()[1]
     if lo < end:
         form_iv = RInterval(form, precision=precision)
         slope_exp = RInterval(form - 1, precision=precision)

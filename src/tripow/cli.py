@@ -37,7 +37,7 @@ from .bounds import (
     two_log_lower_bound,
     y_upper_bound,
 )
-from .numerics import DEFAULT_PRECISION, GaussianInt, RInterval
+from .numerics import DEFAULT_PRECISION, GaussianInt, RInterval, ln_constant
 from .residues import jacobi, parity_engine, quadratic_sieve, quartic_symbol
 from .search import find_solutions, scan_range
 from .triples import PrimPair, exclusion_conditions, triple_of, two_adic_profile
@@ -233,7 +233,7 @@ def cmd_threshold(config: RunConfig) -> tuple[dict, int]:
     form = THEOREM_FORMS[theorem]
     prec = config.precision_bits
     at = config.at or f"1e{THEOREM_DEFAULT_EXP10[theorem]}"
-    ln10 = RInterval(10, precision=prec).ln()
+    ln10 = ln_constant(10, prec)
     t0 = _parse_magnitude(at, ln10)
     report = _new_report(
         config,

@@ -28,6 +28,7 @@ __all__ = [
     "g_pow",
     "g_divmod",
     "RInterval",
+    "ln_constant",
     "ln_superfactorial",
     "DEFAULT_PRECISION",
 ]
@@ -258,80 +259,64 @@ def g_divmod(x: GaussianInt, m: GaussianInt) -> tuple[GaussianInt, GaussianInt]:
 # ---------------------------------------------------------------------------
 # Certified real intervals.
 #
-# An interval is a pair of raw mpf endpoints, (lo, hi), handed to mpmath's
-# pure interval functions (libmp's mpi_*), which round lo down and hi up at
-# the precision passed to them.  Each RInterval carries that precision, so
-# no result depends on mpmath's process-global settings or on other threads.
-# These are the functions mpmath.iv itself calls with its global precision,
-# so the endpoints are the same bits it would give at that precision.  Only
-# RInterval decodes them: other modules ask it for exact rationals, floors or
-# decimal strings, and never import mpmath.
+# An RInterval holds its ends as exact binary numbers, with the precision it
+# rounds them to; the arithmetic on them lives in .endpoints (see there), so
+# no result depends on process-global state, on other threads or on mpmath.
+# Only RInterval decodes the ends: other modules ask it for exact rationals,
+# floors or decimal strings.
 #
-# mpmath is imported on the first interval, not with this module: the exact
-# paths (scan, symbols) never build one, and the import is about a fifth of
-# their process time.  The entry points that make an interval from nothing
-# (RInterval(), RInterval.pi, RInterval.e_const, ln_superfactorial) call
-# _load_mpmath; every other path starts from an interval that exists.
+# .endpoints is imported on the first interval, not with this module: the
+# exact paths (scan, symbols) never build one.  The entry points that make
+# an interval from nothing (RInterval(), RInterval.pi, RInterval.e_const,
+# ln_superfactorial) call _load_endpoints; every other path starts from an
+# interval that exists.
 
-mpmath = None
+endpoints = None
 
 
-def _load_mpmath() -> None:
-    """Bind mpmath and the libmp names below, once."""
-    global _make_mpf, fone, from_int, fzero, mpf_add, mpf_gt, mpf_lt, mpf_neg
-    global mpf_pi, mpf_shift, mpi_add, mpi_delta, mpi_div, mpi_exp, mpi_log
-    global mpi_mul, mpi_neg, mpi_pow, mpi_sqrt, mpi_sub, round_ceiling
-    global round_floor, to_int, to_rational, mpmath
-    from mpmath import make_mpf as _make_mpf
-    from mpmath.libmp import (
-        fone,
-        from_int,
-        fzero,
-        mpf_add,
-        mpf_gt,
-        mpf_lt,
-        mpf_neg,
-        mpf_pi,
-        mpf_shift,
-        mpi_add,
-        mpi_delta,
-        mpi_div,
-        mpi_exp,
-        mpi_log,
-        mpi_mul,
-        mpi_neg,
-        mpi_pow,
-        mpi_sqrt,
-        mpi_sub,
-        round_ceiling,
-        round_floor,
-        to_int,
-        to_rational,
+def _load_endpoints() -> None:
+    """Bind the endpoint functions below, once."""
+    global bounded, end_str, exact_end, floor_end, int_iv, iv_add, iv_div, iv_exp
+    global iv_ln, iv_mul, iv_pow, iv_sub, lt, pi_iv, sqrt_end, endpoints
+    from .endpoints import (
+        bounded,
+        end_str,
+        exact_end,
+        floor_end,
+        int_iv,
+        iv_add,
+        iv_div,
+        iv_exp,
+        iv_ln,
+        iv_mul,
+        iv_pow,
+        iv_sub,
+        lt,
+        pi_iv,
+        sqrt_end,
     )
-    import mpmath  # bound last: a thread that sees it set finds every name above
+    from . import endpoints  # bound last: a thread that sees it set finds every name above
 
 
-def _int_mpi(n: int, prec: int) -> tuple:
-    return from_int(n, prec, round_floor), from_int(n, prec, round_ceiling)
-
-
-def _to_mpi(x, prec: int) -> tuple:
-    """Endpoint pair enclosing x at prec bits."""
+def _to_iv(x, prec: int) -> tuple:
+    """Endpoints enclosing x at prec bits.  A Fraction's numerator and
+    denominator are rounded outward first, then divided."""
     if isinstance(x, RInterval):
         return x._v
     if isinstance(x, Fraction):
-        return mpi_div(_int_mpi(x.numerator, prec), _int_mpi(x.denominator, prec), prec)
+        return iv_div(int_iv(x.numerator, prec), int_iv(x.denominator, prec), prec)
     if isinstance(x, int):
-        return _int_mpi(x, prec)
+        return int_iv(x, prec)
     raise TypeError(f"cannot build interval from {type(x).__name__}")
 
 
-def _exact(v: tuple) -> Fraction | float:
-    """A raw endpoint as an exact rational, or as math.inf or -math.inf."""
-    sign, man, exp, _ = v
-    if not man and exp:  # libmp's infinities, which to_rational would read as 0
-        return -math.inf if sign else math.inf
-    return Fraction(*to_rational(v))
+def _raw(m: int, e) -> tuple:
+    """An end as a raw libmp number, for the mpmath accessors."""
+    from mpmath.libmp import finf, fninf, from_man_exp
+
+    if e is None:
+        return finf if m > 0 else fninf
+    return from_man_exp(m, e)
 
 
 class RInterval:
@@ -347,12 +332,12 @@ class RInterval:
     def __init__(self, lo, hi=None, precision: int = DEFAULT_PRECISION):
         if precision < 8:
             raise ValueError("precision too small")
-        if mpmath is None:
-            _load_mpmath()
-        v = _to_mpi(lo, precision)
+        if endpoints is None:
+            _load_endpoints()
+        v = _to_iv(lo, precision)
         if hi is not None:
-            v = (v[0], _to_mpi(hi, precision)[1])
-            if mpf_gt(*v):
+            v = v[:2] + _to_iv(hi, precision)[2:]
+            if lt(v[2], v[3], v[0], v[1]):
                 raise ValueError("interval endpoints out of order")
         self._v = v
         self.precision = precision
@@ -367,29 +352,45 @@ class RInterval:
     # -- endpoints ---------------------------------------------------------
 
     @property
-    def lo(self) -> mpmath.mpf:
-        return _make_mpf(self._v[0])
+    def lo(self):
+        """lo as an mpmath.mpf (this imports mpmath)."""
+        from mpmath import make_mpf
+
+        return make_mpf(_raw(*self._v[:2]))
 
     @property
-    def hi(self) -> mpmath.mpf:
-        return _make_mpf(self._v[1])
+    def hi(self):
+        """hi as an mpmath.mpf (this imports mpmath)."""
+        from mpmath import make_mpf
+
+        return make_mpf(_raw(*self._v[2:]))
 
     @property
-    def width(self) -> mpmath.mpf:
-        return _make_mpf(mpi_delta(self._v, self.precision))
+    def width(self):
+        """hi - lo rounded up, as an mpmath.mpf (this imports mpmath)."""
+        from mpmath import make_mpf
+        from mpmath.libmp import mpf_sub, round_up
+
+        return make_mpf(mpf_sub(_raw(*self._v[2:]), _raw(*self._v[:2]), self.precision, round_up))
 
     @property
-    def mid(self) -> mpmath.mpf:
-        """The exact midpoint (lo + hi) / 2."""
-        return _make_mpf(mpf_shift(mpf_add(*self._v), -1))
+    def mid(self):
+        """The exact midpoint (lo + hi) / 2, as an mpmath.mpf (this imports mpmath)."""
+        from mpmath import make_mpf
+        from mpmath.libmp import mpf_add, mpf_shift
+
+        return make_mpf(mpf_shift(mpf_add(_raw(*self._v[:2]), _raw(*self._v[2:])), -1))
 
     def exact_ends(self) -> tuple[Fraction | float, Fraction | float]:
         """(lo, hi) as exact rationals; an infinite end is math.inf or -math.inf."""
-        return _exact(self._v[0]), _exact(self._v[1])
+        v = self._v
+        return exact_end(v[0], v[1]), exact_end(v[2], v[3])
 
     def decimal_ends(self, digits: int) -> tuple[str, str]:
-        """(lo, hi) as decimal strings of at most ``digits`` significant digits."""
-        return mpmath.nstr(self.lo, digits), mpmath.nstr(self.hi, digits)
+        """(lo, hi) as decimal strings of at most ``digits`` significant
+        digits, exactly as mpmath.nstr prints them."""
+        v = self._v
+        return end_str(v[0], v[1], digits), end_str(v[2], v[3], digits)
 
     def __repr__(self) -> str:
         lo, hi = self.decimal_ends(20)
@@ -405,26 +406,29 @@ class RInterval:
 
     def floor(self) -> int:
         """The floor of every point; ValueError if the endpoints' floors differ."""
-        lo, hi = (to_int(v, round_floor) for v in self._v)
-        if lo != hi:
+        lm, le, hm, he = bounded(self._v)
+        lo = floor_end(lm, le)
+        if lo != floor_end(hm, he):
             raise ValueError("floor undetermined at this precision; raise precision")
         return lo
 
     def min(self, other: "RInterval") -> "RInterval":
         """Enclosure of min(x, y) for x in self and y in other."""
-        (a_lo, a_hi), (b_lo, b_hi) = self._v, other._v
-        lo = b_lo if mpf_lt(b_lo, a_lo) else a_lo
-        hi = b_hi if mpf_lt(b_hi, a_hi) else a_hi
-        return RInterval._wrap((lo, hi), max(self.precision, other.precision))
+        a, b = bounded(self._v), bounded(other._v)
+        lo = b[:2] if lt(b[0], b[1], a[0], a[1]) else a[:2]
+        hi = b[2:] if lt(b[2], b[3], a[2], a[3]) else a[2:]
+        return RInterval._wrap(lo + hi, max(self.precision, other.precision))
 
     def strictly_less(self, other: "RInterval") -> bool:
-        return self.hi < other.lo
+        _, _, hm, he = self._v
+        lm, le = other._v[:2]
+        return he is not None and le is not None and lt(hm, he, lm, le)
 
     def strictly_positive(self) -> bool:
-        return self.lo > 0
+        return self._v[0] > 0
 
     def strictly_negative(self) -> bool:
-        return self.hi < 0
+        return self._v[2] < 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -433,77 +437,92 @@ class RInterval:
             other = RInterval(other, precision=self.precision)
         prec = max(self.precision, other.precision)
         a, b = (other._v, self._v) if reflected else (self._v, other._v)
-        return RInterval._wrap(op(a, b, prec), prec)
+        try:
+            return RInterval._wrap(op(a, b, prec), prec)
+        except TypeError:  # an unbounded end's exponent is None
+            bounded(a)
+            bounded(b)
+            raise
 
     def __add__(self, other):
-        return self._binop(other, mpi_add)
+        return self._binop(other, iv_add)
 
     def __radd__(self, other):
-        return self._binop(other, mpi_add, reflected=True)
+        return self._binop(other, iv_add, reflected=True)
 
     def __sub__(self, other):
-        return self._binop(other, mpi_sub)
+        return self._binop(other, iv_sub)
 
     def __rsub__(self, other):
-        return self._binop(other, mpi_sub, reflected=True)
+        return self._binop(other, iv_sub, reflected=True)
 
     def __mul__(self, other):
-        return self._binop(other, mpi_mul)
+        return self._binop(other, iv_mul)
 
     def __rmul__(self, other):
-        return self._binop(other, mpi_mul, reflected=True)
+        return self._binop(other, iv_mul, reflected=True)
 
     def __truediv__(self, other):
-        return self._binop(other, mpi_div)
+        return self._binop(other, iv_div)
 
     def __rtruediv__(self, other):
-        return self._binop(other, mpi_div, reflected=True)
+        return self._binop(other, iv_div, reflected=True)
 
     def __neg__(self):
-        return RInterval._wrap(mpi_neg(self._v, self.precision), self.precision)
+        lm, le, hm, he = self._v
+        return RInterval._wrap((-hm, he, -lm, le), self.precision)
 
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise TypeError("integer exponents only; use pow_frac for t^q")
-        prec = self.precision
-        return RInterval._wrap(mpi_pow(self._v, _int_mpi(e, prec), prec), prec)
+        return RInterval._wrap(iv_pow(bounded(self._v), e, self.precision), self.precision)
 
     # -- transcendental ----------------------------------------------------
 
     def ln(self) -> "RInterval":
-        if not self.lo > 0:
+        if not self.strictly_positive():
             raise ValueError("ln requires a strictly positive interval")
-        return RInterval._wrap(mpi_log(self._v, self.precision), self.precision)
+        return RInterval._wrap(iv_ln(self._v, self.precision), self.precision)
 
     def exp(self) -> "RInterval":
-        return RInterval._wrap(mpi_exp(self._v, self.precision), self.precision)
+        return RInterval._wrap(iv_exp(self._v, self.precision), self.precision)
 
     def sqrt(self) -> "RInterval":
-        if self.lo < 0:
+        lm, le, hm, he = bounded(self._v)
+        if lm < 0:
             raise ValueError("sqrt requires a nonnegative interval")
-        return RInterval._wrap(mpi_sqrt(self._v, self.precision), self.precision)
+        prec = self.precision
+        return RInterval._wrap(sqrt_end(lm, le, prec, False) + sqrt_end(hm, he, prec, True), prec)
 
     def pow_frac(self, q) -> "RInterval":
         """t^q for positive t and rational/interval q, via exp(q ln t)."""
-        if not self.lo > 0:
+        if not self.strictly_positive():
             raise ValueError("pow_frac requires a strictly positive base")
         if not isinstance(q, RInterval):
             q = RInterval(q, precision=self.precision)
         prec = max(self.precision, q.precision)
-        return RInterval._wrap(mpi_exp(mpi_mul(q._v, mpi_log(self._v, prec), prec), prec), prec)
+        return RInterval._wrap(iv_exp(iv_mul(q._v, iv_ln(self._v, prec), prec), prec), prec)
 
     @staticmethod
     def pi(precision: int = DEFAULT_PRECISION) -> "RInterval":
-        if mpmath is None:
-            _load_mpmath()
-        v = mpf_pi(precision, round_floor), mpf_pi(precision, round_ceiling)
-        return RInterval._wrap(v, precision)
+        if endpoints is None:
+            _load_endpoints()
+        return RInterval._wrap(pi_iv(precision), precision)
 
     @staticmethod
     def e_const(precision: int = DEFAULT_PRECISION) -> "RInterval":
-        if mpmath is None:
-            _load_mpmath()
-        return RInterval._wrap(mpi_exp((fone, fone), precision), precision)
+        if endpoints is None:
+            _load_endpoints()
+        return RInterval._wrap(iv_exp((1, 0, 1, 0), precision), precision)
+
+
+@functools.cache
+def ln_constant(n: int, precision: int) -> RInterval:
+    """ln n for n in 2, 3 and 10, built once per precision and shared:
+    bit for bit RInterval(n, precision=precision).ln()."""
+    if n not in (2, 3, 10):
+        raise ValueError("ln_constant keeps ln 2, ln 3 and ln 10 only")
+    return RInterval(n, precision=precision).ln()
 
 
 # j per block of ln_superfactorial's exact anchor: each block costs two
@@ -536,7 +555,7 @@ def _bernoulli(k: int) -> Fraction:
 
 def _weighted_log_blocks(n: int, last: int, precision: int) -> tuple:
     """Enclosure of sum_{j=1}^{last} (n + 1 - j) ln j, two logs per block."""
-    total = (fzero, fzero)
+    total = (0, 0, 0, 0)
     for start in range(1, last + 1, SUPERFACTORIAL_BLOCK):
         end = min(start + SUPERFACTORIAL_BLOCK - 1, last)
         p = q = 1
@@ -544,11 +563,11 @@ def _weighted_log_blocks(n: int, last: int, precision: int) -> tuple:
             p *= j
             q *= p  # the prefix product through j, so j enters q end - j times
         p *= end
-        weighted = mpi_mul(
-            _int_mpi(n + 1 - end, precision), mpi_log(_int_mpi(p, precision), precision), precision
+        weighted = iv_mul(
+            int_iv(n + 1 - end, precision), iv_ln(int_iv(p, precision), precision), precision
         )
-        block = mpi_add(weighted, mpi_log(_int_mpi(q, precision), precision), precision)
-        total = mpi_add(total, block, precision)
+        block = iv_add(weighted, iv_ln(int_iv(q, precision), precision), precision)
+        total = iv_add(total, block, precision)
     return total
 
 
@@ -589,14 +608,14 @@ def _euler_maclaurin_tail(n: int, a: int, precision: int) -> tuple:
         previous = abs(term)
         k += 1
     p = precision
-    logs = mpi_add(
-        mpi_mul(_int_mpi(coef_a, p), mpi_log(_int_mpi(a, p), p), p),
-        mpi_mul(_int_mpi(coef_b, p), mpi_log(_int_mpi(b, p), p), p),
+    logs = iv_add(
+        iv_mul(int_iv(coef_a, p), iv_ln(int_iv(a, p), p), p),
+        iv_mul(int_iv(coef_b, p), iv_ln(int_iv(b, p), p), p),
         p,
     )
-    r = _to_mpi(radius, p)[1]
-    total = mpi_add(mpi_add(logs, _to_mpi(rational, p), p), (mpf_neg(r), r), p)
-    return mpi_div(total, _int_mpi(12, p), p)
+    r_m, r_e = _to_iv(radius, p)[2:]
+    total = iv_add(iv_add(logs, _to_iv(rational, p), p), (-r_m, r_e, r_m, r_e), p)
+    return iv_div(total, int_iv(12, p), p)
 
 
 def ln_superfactorial(n: int, precision: int) -> RInterval:
@@ -632,10 +651,10 @@ def ln_superfactorial(n: int, precision: int) -> RInterval:
     """
     if n < 0:
         raise ValueError("requires n >= 0")
-    if mpmath is None:
-        _load_mpmath()
+    if endpoints is None:
+        _load_endpoints()
     n0 = superfactorial_anchor(precision)
     total = _weighted_log_blocks(n, min(n, n0), precision)
     if n > n0:
-        total = mpi_add(total, _euler_maclaurin_tail(n, n0 + 1, precision), precision)
+        total = iv_add(total, _euler_maclaurin_tail(n, n0 + 1, precision), precision)
     return RInterval._wrap(total, precision)

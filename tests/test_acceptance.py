@@ -30,7 +30,6 @@ from tripow.bounds import (
     MU,
     RHO_LOG,
     TwoLogInputs,
-    alpha1_constant,
     certify_threshold,
     crossover,
     laurent_epsilon,
@@ -219,7 +218,7 @@ def _decided_floor(x) -> int:
 
 def test_criterion_7_corollary_constants_and_parameter_counts():
     prec = 200
-    a1 = alpha1_constant(prec)
+    a1 = TwoLogInputs(RInterval(1100, precision=prec), RInterval(10, precision=prec)).a1
 
     lead = RInterval(MU * RHO_LOG * KAPPA * L_SLOPE * L_SLOPE, precision=prec) * a1
     lead_ok = RInterval(Fraction(3740, 1000), precision=prec).strictly_less(

@@ -18,7 +18,6 @@ from tripow.bounds import (
     MU,
     RHO_LOG,
     TwoLogInputs,
-    alpha1_constant,
     certify_threshold,
     corollary_L,
     crossover,
@@ -42,6 +41,12 @@ def riv(q, precision=PREC):
     return RInterval(Fraction(q) if isinstance(q, str) else q, precision=precision)
 
 
+def alpha1(precision=PREC) -> RInterval:
+    """a1 = e^3.1 pi, read from TwoLogInputs, where it is defined; the
+    operands do not enter it."""
+    return TwoLogInputs(riv(1100, precision), riv(10, precision)).a1
+
+
 def assert_within(iv: RInterval, center: Fraction, radius: Fraction):
     """Certified |iv - center| < radius."""
     assert riv(center - radius, iv.precision).strictly_less(iv)
@@ -53,7 +58,7 @@ def assert_within(iv: RInterval, center: Fraction, radius: Fraction):
 
 def test_leading_constant_is_certified():
     # 3.741 rounds mu * ln(rho) * kappa * a1 * (45/62)^2 up in the last digit
-    a1 = alpha1_constant(PREC)
+    a1 = alpha1()
     exact_part = MU * RHO_LOG * KAPPA * L_SLOPE * L_SLOPE
     value = riv(exact_part) * a1
     assert_within(value, Fraction(3741, 1000), Fraction(1, 1000))
@@ -75,7 +80,7 @@ def test_shift_constant_decomposes():
 
 
 def test_fixed_weights():
-    a1 = alpha1_constant(PREC)
+    a1 = alpha1()
     assert_within(a1, Fraction(697369, 10000), Fraction(1, 10000))
     rho = two_log_instance(TwoLogInputs(riv(1100), riv(10))).rho  # e^3.1
     assert_within(rho, Fraction(221979513, 10**7), Fraction(1, 10**6))
@@ -85,7 +90,8 @@ def test_fixed_weights():
 def test_two_log_inputs_share_rho_and_keep_a1_bit_equal(precision):
     inputs = TwoLogInputs(riv(1100, precision), riv(10, precision))
     assert inputs.rho.exact_ends() == riv(RHO_LOG, precision).exp().exact_ends()
-    assert inputs.a1.exact_ends() == alpha1_constant(precision).exact_ends()
+    a1 = riv(RHO_LOG, precision).exp() * RInterval.pi(precision)
+    assert inputs.a1.exact_ends() == a1.exact_ends()
     assert two_log_instance(inputs).rho is inputs.rho
 
 
@@ -217,7 +223,7 @@ def test_instance_validation():
         mu=riv(MU),
         b1=2,
         b2=2,
-        a1=alpha1_constant(PREC),
+        a1=alpha1(),
         a2=riv(1100),
     )
     with pytest.raises(ValueError):
@@ -241,7 +247,7 @@ def test_small_instance_fails_main_condition():
         mu=riv(MU),
         b1=2,
         b2=2,
-        a1=alpha1_constant(PREC),
+        a1=alpha1(),
         a2=riv(1100),
     )
     ok, margin, _ = laurent_check(inst)
@@ -251,7 +257,7 @@ def test_small_instance_fails_main_condition():
 
 def test_mu_and_rho_validation():
     base = dict(K=3, L=3, R1=1, R2=2, S1=1, S2=2, b1=2, b2=2,
-                a1=alpha1_constant(PREC), a2=riv(1100))
+                a1=alpha1(), a2=riv(1100))
     bad_mu = LaurentInstance(rho=riv(RHO_LOG).exp(), mu=riv(Fraction(1, 4)), **base)
     with pytest.raises(ValueError, match="mu"):
         laurent_check(bad_mu)
@@ -296,7 +302,7 @@ def test_lower_bound_worked_value():
     # second oracle input, far above the hypothesis floor: m = 2^1443, n = 3,
     # z = 100, a2 = ln c + a1 (about 2070), b' = z (1/69.73 + 1/a2) (about 1.48)
     c = triple_of(PrimPair(2**1443, 3)).c
-    a2 = riv(c).ln() + alpha1_constant(PREC)
+    a2 = riv(c).ln() + alpha1()
     bprime = 100 * (1 / riv(Fraction(6973, 100)) + 1 / a2)
     far = two_log_lower_bound(TwoLogInputs(a2, bprime))
     with mpmath.workdps(40):
@@ -335,7 +341,7 @@ def test_lower_bound_hypotheses():
 
 def test_minor_parameter_counts_at_the_hypothesis_floor():
     # the interesting regime: L = 3 and a2 at its smallest admissible value
-    a2 = RInterval(1000, precision=200) + alpha1_constant(200)
+    a2 = RInterval(1000, precision=200) + alpha1(200)
     inst = two_log_instance(TwoLogInputs(a2, riv(Fraction(6, 100), 200)))
     assert inst.L == 3
     assert inst.K == 11027

@@ -629,7 +629,8 @@ def test_cli_runs_without_sympy():
 
 
 def test_exact_commands_run_without_mpmath():
-    # mpmath loads on the first interval: scan and symbols build none
+    # scan and symbols build no interval; threshold builds many, on
+    # numerics' own core, which needs no mpmath either
     script = (
         "import contextlib, io, sys\n"
         "import tripow.cli\n"
@@ -644,7 +645,31 @@ def test_exact_commands_run_without_mpmath():
         "call('threshold', '--theorem', '1.3')\n"
     )
     lines = _fresh_python(script).splitlines()
-    assert lines == ["0 False", "0 False", "0 False", "0 True"]
+    assert lines == ["0 False", "0 False", "0 False", "0 False"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "--m", "13", "--n", "4"),
+        ("scan", "--m-max", "40", "--cap", "40"),
+        ("threshold", "--theorem", "1.2", "--precision-bits", "128"),
+        ("symbols", "--quartic", "2", "--mod", "9,-4"),
+        ("laurent", "--a2", "1100", "--bprime", "10"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_subcommand_leaves_mpmath_unloaded(argv):
+    # each subcommand alone in a fresh interpreter, text and JSON
+    script = (
+        "import contextlib, io, sys\n"
+        "import tripow.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), \\\n"
+        "        contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [tripow.cli.main({list(argv)!r} + fmt) for fmt in ([], ['--format', 'json'])]\n"
+        "print(codes, 'mpmath' in sys.modules)\n"
+    )
+    assert _fresh_python(script).split() == ["[0,", "0]", "False"]
 
 
 @pytest.mark.parametrize(
@@ -657,15 +682,16 @@ def test_exact_commands_run_without_mpmath():
     ],
 )
 def test_interval_entry_points_load_mpmath(expr, value):
-    # each entry point runs first in its own interpreter, so one that
-    # skipped the load would fail with a NameError here
+    # the four ways to make an interval from nothing, each first in its own
+    # interpreter: none of them loads mpmath, and each gives its value
     script = (
         "import sys\n"
         "from tripow.numerics import RInterval, ln_superfactorial\n"
         "before = 'mpmath' in sys.modules\n"
         f"iv = {expr}\n"
-        "print(before, 'mpmath' in sys.modules, float(iv.lo), float(iv.hi))\n"
+        "lo, hi = iv.exact_ends()\n"
+        "print(before, 'mpmath' in sys.modules, float(lo), float(hi))\n"
     )
     before, after, lo, hi = _fresh_python(script).split()
-    assert (before, after) == ("False", "True")
+    assert (before, after) == ("False", "False")
     assert abs(float(lo) - value) <= 1e-12 * value and abs(float(hi) - value) <= 1e-12 * value

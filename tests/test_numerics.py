@@ -212,7 +212,8 @@ def test_interval_contains_exact_rational_arithmetic():
 
 
 def test_interval_transcendental_contains_high_precision_point():
-    """ln/exp/sqrt intervals must contain a 4x-precision point estimate."""
+    """ln and sqrt intervals must contain a 4x-precision point estimate
+    (exp: test_interval_core checks it, and ln and sqrt again, against decimal)."""
     rng = random.Random(99)
     for _ in range(300):
         q = Fraction(rng.randrange(1, 10**9), rng.randrange(1, 10**6))
@@ -432,7 +433,7 @@ def test_ln_superfactorial_contains_barnes_g_across_the_anchor(precision):
 def test_ln_superfactorial_no_wider_than_block_sum(precision):
     # n = K - 1 for the benchmark's three laurent strata
     for n in (13245, 24429, 33551):
-        # ln_superfactorial first: it loads mpmath, which the private helper assumes
+        # ln_superfactorial first: it loads the endpoint functions, which the private helper assumes
         iv = ln_superfactorial(n, precision)
         block_sum = RInterval._wrap(numerics._weighted_log_blocks(n, n, precision), precision)
         assert iv.width <= block_sum.width
