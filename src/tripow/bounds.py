@@ -557,30 +557,23 @@ def _tail_h(form: Fraction, w_t: Fraction, precision: int) -> tuple[RInterval, R
 
 
 @functools.cache
-def _tail_start(form: Fraction, precision: int) -> Fraction | None:
-    """TAIL_START[form] once h and h' certify positive there, else None:
-    then t^form > RHS(t) for every t with ln(t + ln 2) >= it.
+def _tail_start(form: Fraction, precision: int) -> RInterval | None:
+    """e^w for w = TAIL_START[form] once h and h' certify positive there,
+    else None: then t^form > RHS(t) for every t with ln(t + ln 2) >= w,
+    and e^w is the tail_from of a certificate.
 
-    The starts, 25/2 for 3/5 (tail_from = e^w ~ 268,337) and 11 for 2/3
-    (59,874), are the least w in 10, 10.5, ... with h(w) > 0.  They are
-    certified all the same, once per (form, precision) in a process, at
-    that precision: a certificate holds at the caller's precision only if
-    each of its steps was decided there, so an h that this precision
+    The starts, w = 25/2 for 3/5 (tail_from = e^w ~ 268,337) and 11 for
+    2/3 (59,874), are the least w in 10, 10.5, ... with h(w) > 0.  They
+    are certified all the same, once per (form, precision) in a process,
+    at that precision: a certificate holds at the caller's precision only
+    if each of its steps was decided there, so an h that this precision
     cannot decide fails the certificate.
     """
     w_t = TAIL_START[form]
     tail = _tail_h(form, w_t, precision) if _TAIL_MAJORANT_HOLDS else None
     if tail and tail[0].strictly_positive() and tail[1].strictly_positive():
-        return w_t
+        return RInterval(w_t, precision=precision).exp()
     return None
-
-
-@functools.cache
-def _tail_exp(form: Fraction, precision: int) -> RInterval | None:
-    """e^w for the certified tail start w = _tail_start(form, precision), the
-    tail_from of a certificate, or None; kept beside it."""
-    w_tail = _tail_start(form, precision)
-    return None if w_tail is None else RInterval(w_tail, precision=precision).exp()
 
 
 def _mid_float(t: RInterval) -> float:
@@ -613,7 +606,7 @@ def certify_threshold(form, t0: RInterval) -> ThresholdCert:
         cert.failing_point = _mid_float(t0)
         return cert
 
-    tail_start = _tail_exp(form, precision)
+    tail_start = _tail_start(form, precision)
     if tail_start is None:
         cert.failing_point = _mid_float(t0)
         return cert

@@ -19,9 +19,7 @@ Cloud, "Introduction to Interval Analysis", SIAM 2009.  Integer powers
 follow mpmath's mpf_pow_int step for step, so they give its bits; each of
 its steps rounds in one direction, so it encloses.
 
-A division by an interval that holds 0 gives an unbounded end: exponent
-None, mantissa -1 (lo) or 1 (hi).  Such an interval can be compared,
-printed and read back exactly; arithmetic that needs that end raises
+Every end is finite: a division by an interval that holds 0 raises
 ValueError.
 
 This module needs no mpmath.  numerics imports it on the first interval.
@@ -34,7 +32,6 @@ import functools
 import math
 
 __all__ = [
-    "bounded",
     "end_str",
     "exact_end",
     "floor_end",
@@ -118,16 +115,6 @@ def _div(m1: int, e1: int, m2: int, e2: int, prec: int, up: bool) -> tuple:
     return _round(q, e1 - e2 - k, prec, up)
 
 
-def bounded(v: tuple) -> tuple:
-    """v itself, or ValueError if an end is unbounded."""
-    if v[1] is None or v[3] is None:
-        raise ValueError("arithmetic on an unbounded interval")
-    return v
-
-
-_UNBOUNDED = (-1, None, 1, None)
-
-
 def iv_add(a: tuple, b: tuple, prec: int) -> tuple:
     return _add(a[0], a[1], b[0], b[1], prec, False) + _add(a[2], a[3], b[2], b[3], prec, True)
 
@@ -177,12 +164,7 @@ def iv_div(a: tuple, b: tuple, prec: int) -> tuple:
         if ahm <= 0:
             return _div(alm, ale, blm, ble, prec, False) + _div(ahm, ahe, bhm, bhe, prec, True)
         return _div(alm, ale, blm, ble, prec, False) + _div(ahm, ahe, blm, ble, prec, True)
-    # b = [0, t] with t > 0, or b holds 0 inside
-    if blm < 0 or not bhm or (not alm and not ahm) or alm < 0 < ahm:
-        return _UNBOUNDED
-    if alm >= 0:
-        return _div(alm, ale, bhm, bhe, prec, False) + (1, None)
-    return (-1, None) + _div(ahm, ahe, bhm, bhe, prec, True)
+    raise ValueError("division by an interval that holds 0")
 
 
 def int_iv(n: int, prec: int) -> tuple:
@@ -234,7 +216,8 @@ def _pow_end(m: int, e: int, n: int, prec: int, up: bool) -> tuple:
 
 
 def iv_pow(v: tuple, n: int, prec: int) -> tuple:
-    """v^n for an integer n, as mpmath's mpi_pow_int gives it."""
+    """v^n for an integer n, as mpmath's mpi_pow_int gives it; a negative n
+    on a v that holds 0 raises ValueError, as its division does."""
     if n < 0:
         return iv_div((1, 0, 1, 0), iv_pow(v, -n, prec + 20), prec)
     if n < 2:
@@ -382,7 +365,7 @@ def _ln_fixed(m: int, e: int, wp: int) -> tuple:
 def ln_end(m: int, e: int, prec: int, up: bool) -> tuple:
     """(end, (v, err, wp)): ln(m 2^e) rounded as _round for m 2^e > 0,
     and the fixed-point enclosure it was settled from (None for ln 1)."""
-    if e <= 0 and m == 1 << -e:
+    if m.bit_length() == 1 - e and m & (m - 1) == 0:  # x = 1, without building 2^-e
         return (0, 0), None
     bl = m.bit_length()
     k = e + bl - 1
@@ -417,7 +400,7 @@ def _gap(v: tuple) -> tuple | None:
 def iv_ln(v: tuple, prec: int) -> tuple:
     """ln over a positive interval.  hi is settled from lo's enclosure when
     the interval is narrow: ln hi = ln lo + 2 atanh((hi - lo) / (hi + lo))."""
-    lm, le, hm, he = bounded(v)
+    lm, le, hm, he = v
     lo, fixed = ln_end(lm, le, prec, False)
     if fixed is not None and (lm, le) == (hm, he):
         hi = _settle(*fixed[:2], -fixed[2], prec, True)
@@ -505,7 +488,7 @@ def iv_exp(v: tuple, prec: int) -> tuple:
     """exp over an interval.  hi is settled from lo's enclosure when the
     interval is narrow: e^hi = e^lo e^d with d = hi - lo < 2^-8, and
     |C Ce - c ce| <= err (ce + cerr) + c cerr for the two enclosures."""
-    lm, le, hm, he = bounded(v)
+    lm, le, hm, he = v
     lo, fixed = _exp_end(lm, le, prec, False)
     if fixed is not None:
         c, err, n, w = fixed
@@ -585,12 +568,10 @@ def _digits_exp(m: int, e: int, dps: int) -> tuple:
     return digits, exponent + len(digits) - fixdps - 1
 
 
-def end_str(m: int, e, dps: int) -> str:
+def end_str(m: int, e: int, dps: int) -> str:
     """m 2^e as mpmath.nstr(x, dps) prints it, for dps >= 1: dps + 3
     truncated digits, rounded half up on the next one, in fixed notation
     when the leading digit's position is in (min(-dps // 3, -5), dps)."""
-    if e is None:
-        return "+inf" if m > 0 else "-inf"
     if not m:
         return "0.0"
     sign = "-" if m < 0 else ""
@@ -623,10 +604,8 @@ def end_str(m: int, e, dps: int) -> str:
     return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
 
 
-def exact_end(m: int, e) -> Fraction | float:
-    """An end as an exact rational, or as math.inf or -math.inf."""
-    if e is None:
-        return math.inf if m > 0 else -math.inf
+def exact_end(m: int, e: int) -> Fraction:
+    """An end as an exact rational."""
     return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
 
 

@@ -193,9 +193,6 @@ class GaussianInt:
         a, b, c, d = self.re, self.im, other.re, other.im
         return GaussianInt(a * c - b * d, a * d + b * c)
 
-    def __neg__(self) -> "GaussianInt":
-        return GaussianInt(-self.re, -self.im)
-
     def conj(self) -> "GaussianInt":
         return GaussianInt(self.re, -self.im)
 
@@ -207,14 +204,6 @@ class GaussianInt:
 
     def is_unit(self) -> bool:
         return self.norm() == 1
-
-    def __str__(self) -> str:
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{abs(self.im)}i"
 
 
 ONE = GaussianInt(1, 0)
@@ -276,10 +265,9 @@ endpoints = None
 
 def _load_endpoints() -> None:
     """Bind the endpoint functions below, once."""
-    global bounded, end_str, exact_end, floor_end, int_iv, iv_add, iv_div, iv_exp
+    global end_str, exact_end, floor_end, int_iv, iv_add, iv_div, iv_exp
     global iv_ln, iv_mul, iv_pow, iv_sub, lt, pi_iv, sqrt_end, endpoints
     from .endpoints import (
-        bounded,
         end_str,
         exact_end,
         floor_end,
@@ -308,15 +296,6 @@ def _to_iv(x, prec: int) -> tuple:
     if isinstance(x, int):
         return int_iv(x, prec)
     raise TypeError(f"cannot build interval from {type(x).__name__}")
-
-
-def _raw(m: int, e) -> tuple:
-    """An end as a raw libmp number, for the mpmath accessors."""
-    from mpmath.libmp import finf, fninf, from_man_exp
-
-    if e is None:
-        return finf if m > 0 else fninf
-    return from_man_exp(m, e)
 
 
 class RInterval:
@@ -353,60 +332,38 @@ class RInterval:
 
     @property
     def lo(self):
-        """lo as an mpmath.mpf (this imports mpmath)."""
+        """lo, exactly, as an mpmath.mpf (this imports mpmath)."""
         from mpmath import make_mpf
+        from mpmath.libmp import from_man_exp
 
-        return make_mpf(_raw(*self._v[:2]))
+        return make_mpf(from_man_exp(*self._v[:2]))
 
     @property
     def hi(self):
-        """hi as an mpmath.mpf (this imports mpmath)."""
+        """hi, exactly, as an mpmath.mpf (this imports mpmath)."""
         from mpmath import make_mpf
+        from mpmath.libmp import from_man_exp
 
-        return make_mpf(_raw(*self._v[2:]))
+        return make_mpf(from_man_exp(*self._v[2:]))
 
-    @property
-    def width(self):
-        """hi - lo rounded up, as an mpmath.mpf (this imports mpmath)."""
-        from mpmath import make_mpf
-        from mpmath.libmp import mpf_sub, round_up
-
-        return make_mpf(mpf_sub(_raw(*self._v[2:]), _raw(*self._v[:2]), self.precision, round_up))
-
-    @property
-    def mid(self):
-        """The exact midpoint (lo + hi) / 2, as an mpmath.mpf (this imports mpmath)."""
-        from mpmath import make_mpf
-        from mpmath.libmp import mpf_add, mpf_shift
-
-        return make_mpf(mpf_shift(mpf_add(_raw(*self._v[:2]), _raw(*self._v[2:])), -1))
-
-    def exact_ends(self) -> tuple[Fraction | float, Fraction | float]:
-        """(lo, hi) as exact rationals; an infinite end is math.inf or -math.inf."""
+    def exact_ends(self) -> tuple[Fraction, Fraction]:
+        """(lo, hi) as exact rationals."""
         v = self._v
         return exact_end(v[0], v[1]), exact_end(v[2], v[3])
 
     def decimal_ends(self, digits: int) -> tuple[str, str]:
         """(lo, hi) as decimal strings of at most ``digits`` significant
-        digits, exactly as mpmath.nstr prints them."""
+        digits, exactly as mpmath.nstr prints them.  Each is rounded to
+        nearest, not outward, so the printed pair need not enclose the
+        interval: decide on exact_ends, print with this."""
         v = self._v
         return end_str(v[0], v[1], digits), end_str(v[2], v[3], digits)
 
-    def __repr__(self) -> str:
-        lo, hi = self.decimal_ends(20)
-        return f"RInterval[{lo}, {hi}]"
-
     # -- queries -----------------------------------------------------------
-
-    def contains(self, x) -> bool:
-        if isinstance(x, (Fraction, int)):
-            lo, hi = self.exact_ends()
-            return lo <= x <= hi
-        return self.lo <= x <= self.hi
 
     def floor(self) -> int:
         """The floor of every point; ValueError if the endpoints' floors differ."""
-        lm, le, hm, he = bounded(self._v)
+        lm, le, hm, he = self._v
         lo = floor_end(lm, le)
         if lo != floor_end(hm, he):
             raise ValueError("floor undetermined at this precision; raise precision")
@@ -414,7 +371,7 @@ class RInterval:
 
     def min(self, other: "RInterval") -> "RInterval":
         """Enclosure of min(x, y) for x in self and y in other."""
-        a, b = bounded(self._v), bounded(other._v)
+        a, b = self._v, other._v
         lo = b[:2] if lt(b[0], b[1], a[0], a[1]) else a[:2]
         hi = b[2:] if lt(b[2], b[3], a[2], a[3]) else a[2:]
         return RInterval._wrap(lo + hi, max(self.precision, other.precision))
@@ -422,13 +379,10 @@ class RInterval:
     def strictly_less(self, other: "RInterval") -> bool:
         _, _, hm, he = self._v
         lm, le = other._v[:2]
-        return he is not None and le is not None and lt(hm, he, lm, le)
+        return lt(hm, he, lm, le)
 
     def strictly_positive(self) -> bool:
         return self._v[0] > 0
-
-    def strictly_negative(self) -> bool:
-        return self._v[2] < 0
 
     # -- arithmetic --------------------------------------------------------
 
@@ -437,12 +391,7 @@ class RInterval:
             other = RInterval(other, precision=self.precision)
         prec = max(self.precision, other.precision)
         a, b = (other._v, self._v) if reflected else (self._v, other._v)
-        try:
-            return RInterval._wrap(op(a, b, prec), prec)
-        except TypeError:  # an unbounded end's exponent is None
-            bounded(a)
-            bounded(b)
-            raise
+        return RInterval._wrap(op(a, b, prec), prec)
 
     def __add__(self, other):
         return self._binop(other, iv_add)
@@ -475,7 +424,7 @@ class RInterval:
     def __pow__(self, e: int):
         if not isinstance(e, int):
             raise TypeError("integer exponents only; use pow_frac for t^q")
-        return RInterval._wrap(iv_pow(bounded(self._v), e, self.precision), self.precision)
+        return RInterval._wrap(iv_pow(self._v, e, self.precision), self.precision)
 
     # -- transcendental ----------------------------------------------------
 
@@ -488,7 +437,7 @@ class RInterval:
         return RInterval._wrap(iv_exp(self._v, self.precision), self.precision)
 
     def sqrt(self) -> "RInterval":
-        lm, le, hm, he = bounded(self._v)
+        lm, le, hm, he = self._v
         if lm < 0:
             raise ValueError("sqrt requires a nonnegative interval")
         prec = self.precision

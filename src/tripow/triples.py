@@ -90,12 +90,6 @@ class TwoAdicProfile:
     j: int
     e: int
 
-    def even_member(self) -> int:
-        return (1 << self.alpha) * self.i
-
-    def odd_member(self) -> int:
-        return (1 << self.beta) * self.j + self.e
-
 
 def two_adic_profile(p: PrimPair) -> TwoAdicProfile:
     ev = p.even_member

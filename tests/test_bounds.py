@@ -34,6 +34,8 @@ from tripow.numerics import RInterval
 from tripow.search import ExponentTriple
 from tripow.triples import PrimPair, triple_of
 
+from enclosure import encloses, mid, width
+
 PREC = 128
 
 
@@ -185,7 +187,7 @@ def test_worked_instance_parameters(worked):
     assert (worked.R, worked.S, worked.N) == (1466, 95, 136068)
     assert worked.b1 == worked.b2 == 655
     assert worked.g == Fraction(46957, 278540)
-    assert worked.sigma().contains(Fraction(17, 18))
+    assert encloses(worked.sigma(), Fraction(17, 18))
 
 
 def test_worked_instance_ln_b_against_loggamma_sum(worked):
@@ -206,7 +208,7 @@ def test_worked_instance_main_condition(worked):
     assert ok
     assert_within(margin, Fraction(143161, 10), Fraction(1, 1))
     # bound = rho^(-mu K L): its log is -(2/3) * 136068 * 3.1
-    assert bound.ln().contains(-MU * worked.N * RHO_LOG)
+    assert encloses(bound.ln(), -MU * worked.N * RHO_LOG)
 
 
 def test_worked_instance_rechecks(worked):
@@ -281,7 +283,7 @@ def test_laurent_functions_work_at_operand_precision(precision):
     # the same instance as at 128 bits, with a narrower margin
     ref = two_log_instance(TwoLogInputs(riv(1100), riv(10)))
     assert (inst.K, inst.L, inst.R2, inst.S2, inst.b1) == (ref.K, ref.L, ref.R2, ref.S2, ref.b1)
-    assert margin.width < laurent_check(ref)[1].width
+    assert width(margin) < width(laurent_check(ref)[1])
     # mixed operands work at the larger precision
     assert two_log_instance(TwoLogInputs(a2, riv(10))).precision == precision
     assert two_log_lower_bound(TwoLogInputs(riv(1100), bprime)).log_lambda_lower.precision == precision
@@ -321,7 +323,7 @@ def test_lower_bound_worked_value():
                 - mpmath.log(2 + mpmath.mpf("0.222") * L * a2_o)
             )
             assert got.L == L
-            assert abs(mpmath.mpf(str(float(got.log_lambda_lower.mid))) - val) < mpmath.mpf("1e-6")
+            assert abs(mpmath.mpf(str(float(mid(got.log_lambda_lower)))) - val) < mpmath.mpf("1e-6")
 
 
 def test_lower_bound_floors_short_lengths():
@@ -395,7 +397,7 @@ def rhs_oracle(t, corrected=True):
 def test_threshold_rhs_values():
     t1 = Fraction(25316463, 100)
     iv = threshold_rhs(riv(t1, 256))
-    assert abs(float(iv.mid) - float(rhs_oracle("253164.63"))) < 1e-9
+    assert abs(float(mid(iv)) - float(rhs_oracle("253164.63"))) < 1e-9
     assert_within(iv, Fraction(16696410, 10000), Fraction(1, 1000))
     # t^(3/5) already clears it at this point
     lhs = RInterval(t1, precision=256).pow_frac(Fraction(3, 5))
@@ -477,8 +479,9 @@ def test_tail_start_is_the_least_half_step_from_ten(form, precision):
     h, h_slope = bounds._tail_h(form, w, precision)
     assert h.strictly_positive() and h_slope.strictly_positive()
     below, _ = bounds._tail_h(form, w - Fraction(1, 2), precision)
-    assert below.strictly_negative()
-    assert bounds._tail_start(form, precision) == w
+    assert below.exact_ends()[1] < 0
+    tail_from = bounds._tail_start(form, precision)
+    assert tail_from.exact_ends() == RInterval(w, precision=precision).exp().exact_ends()
 
 
 def test_tail_starts_stated_in_the_docs():
@@ -499,7 +502,8 @@ def test_tail_majorant_coefficients():
 
 
 @pytest.mark.parametrize("form", sorted(THEOREM_FORMS.values()))
-def test_tail_start_makes_one_interval_exp(monkeypatch, form):
+def test_tail_start_makes_two_interval_exps(monkeypatch, form):
+    # e^-w inside h, and e^w, the tail_from it returns
     calls = []
     real = RInterval.exp
 
@@ -508,8 +512,10 @@ def test_tail_start_makes_one_interval_exp(monkeypatch, form):
         return real(self)
 
     monkeypatch.setattr(RInterval, "exp", counted)
-    assert bounds._tail_start(form, 256) == bounds.TAIL_START[form]
-    assert len(calls) == 1
+    assert bounds._tail_start(form, 256).exact_ends() == real(
+        RInterval(bounds.TAIL_START[form], precision=256)
+    ).exact_ends()
+    assert len(calls) == 2
 
 
 def _grid(form, t0: RInterval) -> list[Fraction]:
@@ -529,13 +535,13 @@ def _certify_by_cells(form, t0: RInterval) -> bounds.ThresholdCert:
     precision = t0.precision
     cert = bounds.ThresholdCert(t0=t0)
     if bounds._threshold_sign(form, t0) != 1:
-        cert.failing_point = float(t0.mid)
+        cert.failing_point = float(mid(t0))
         return cert
-    w_tail = bounds._tail_start(form, precision)
-    if w_tail is None:
-        cert.failing_point = float(t0.mid)
+    tail_from = bounds._tail_start(form, precision)
+    if tail_from is None:
+        cert.failing_point = float(mid(t0))
         return cert
-    cert.tail_from = float(RInterval(w_tail, precision=precision).exp().lo)
+    cert.tail_from = float(tail_from.lo)
     points = _grid(form, t0)
     if len(points) > 1:
         form_iv = RInterval(form, precision=precision)
@@ -601,7 +607,7 @@ def test_certify_threshold_fails_on_the_blurred_cell(monkeypatch, form, precisio
 
     def blurred(t):
         out = real(t)
-        if any(t.contains(x) for x in insides):
+        if any(encloses(t, x) for x in insides):
             out = out + RInterval(-1, 1, precision=out.precision)
         return out
 
@@ -623,12 +629,12 @@ def test_crossover_brackets():
     assert float(iv.hi) - float(iv.lo) <= 1.0
     log10m = iv / ln10
     assert 95000 < float(log10m.lo) and float(log10m.hi) < 109948
-    assert abs(float(log10m.mid) - 99819.6) < 1.0
+    assert abs(float(mid(log10m)) - 99819.6) < 1.0
 
     iv2 = crossover(Fraction(2, 3))
     log10m2 = iv2 / ln10
     assert 19000 < float(log10m2.lo) and float(log10m2.hi) < 22933
-    assert abs(float(log10m2.mid) - 20580.3) < 1.0
+    assert abs(float(mid(log10m2)) - 20580.3) < 1.0
 
 
 def test_crossover_rejects_other_forms():
@@ -709,7 +715,7 @@ def test_crossover_never_nudges(monkeypatch, capsys):
 
     def blurred(t):
         out = real(t)
-        if isinstance(t, RInterval) and t.contains(hi):
+        if isinstance(t, RInterval) and encloses(t, hi):
             out = out + RInterval(-1, 1, precision=out.precision)
         return out
 
@@ -728,7 +734,7 @@ def test_crossover_keeps_no_undecided_bracket(monkeypatch):
 
     def blurred(t):
         out = real(t)
-        if t.contains(hi):
+        if encloses(t, hi):
             out = out + RInterval(-1, 1, precision=out.precision)
         return out
 
@@ -780,7 +786,7 @@ def test_locate_crossover_builds_no_interval(monkeypatch, form):
     t = bounds._locate_crossover(form)
     monkeypatch.undo()
     # the estimate lies in the cell crossover certifies
-    assert crossover(form, 256).contains(Fraction(t))
+    assert encloses(crossover(form, 256), Fraction(t))
 
 
 # the ids keep the "-True" of the corrected-form parameter this test once had,
@@ -791,8 +797,8 @@ def test_locate_crossover_builds_no_interval(monkeypatch, form):
 def test_float_rhs_matches_interval_rhs(t):
     exact = Fraction(t)
     approx = bounds._rhs(float(exact), bounds._RHS_FLOATS)
-    mid = float(threshold_rhs(riv(exact, 256)).mid)
-    assert abs(approx - mid) <= 1e-12 * mid
+    mid_rhs = float(mid(threshold_rhs(riv(exact, 256))))
+    assert abs(approx - mid_rhs) <= 1e-12 * mid_rhs
 
 
 @pytest.mark.parametrize("precision", TABLE_PRECISIONS)

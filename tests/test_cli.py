@@ -17,6 +17,8 @@ from tripow.cli import main
 from tripow.numerics import RInterval
 from tripow.triples import iter_pairs
 
+from enclosure import encloses
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -436,11 +438,11 @@ def test_laurent_builds_shared_corollary_values_once(monkeypatch, capsys):
         return corollary_L(*args)
 
     def counted_ln(self):
-        calls["ln_bprime"] += self.contains(bprime)
+        calls["ln_bprime"] += encloses(self, bprime)
         return ln(self)
 
     def counted_exp(self):
-        calls["rho"] += self.contains(bounds.RHO_LOG)
+        calls["rho"] += encloses(self, bounds.RHO_LOG)
         return exp(self)
 
     monkeypatch.setattr(a1_prop, "func", counted_a1)
@@ -455,6 +457,16 @@ def test_laurent_builds_shared_corollary_values_once(monkeypatch, capsys):
 def test_laurent_requires_inputs(capsys):
     code, _, err = run(capsys, "laurent", "--a2", "1100")
     assert code == 2 and "bprime" in err
+
+
+def test_laurent_at_huge_a2(capsys):
+    # the ln of rho^(-mu K L) has an exponent past -2^63 at a2 = 1e30; at
+    # 1e40, K = 1 + floor(kappa L a1 a2) is undecided at 128 bits, which asks
+    # for precision (exit 2) rather than failing the check
+    code, out, _ = run_json(capsys, "laurent", "--a2", "1e30", "--bprime", "10")
+    assert code == 0 and out["results"]["condition_holds"] is True
+    code, out, err = run(capsys, "laurent", "--a2", "1e40", "--bprime", "10")
+    assert (code, out) == (2, "") and "raise precision" in err
 
 
 def test_laurent_hypothesis_failure_is_exit_one(capsys):

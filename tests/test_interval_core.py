@@ -11,6 +11,7 @@
 """
 
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, nstr
 
-from tripow import bounds, endpoints, numerics
+from tripow import bounds, endpoints
 from tripow.numerics import RInterval, ln_constant
 
 PRECISIONS = (64, 80, 128, 192, 256, 384, 512, 1024)
@@ -170,12 +171,39 @@ def test_exp_and_ln_near_one_and_far_from_it(precision):
         assert_true_rounding(iv, *_band(value, digits))
 
 
+def test_ln_of_a_tiny_end_builds_no_number_as_long_as_its_exponent():
+    # x = 1 is recognised from the mantissa's bit length, not by building
+    # 2^-e: laurent takes the ln of rho^(-mu K L), an end whose exponent is
+    # about -3.7e8 at a2 = 1e6 and past -2^63 at a2 = 1e20
+    precision, e = 128, -(10**8)
+    tracemalloc.start()
+    try:
+        ends = {m: [endpoints.ln_end(m, e, precision, up)[0] for up in (False, True)] for m in (1, 3)}
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 2^(10^8) alone takes 12.5 MB
+    digits = _digits(precision)
+    RInterval(1, precision=precision)  # loads the endpoint functions an interval reads with
+    for m, (lo, hi) in ends.items():
+        with localcontext() as ctx:
+            ctx.prec = digits + 20
+            value = Decimal(m).ln() + e * Decimal(2).ln()
+        assert_true_rounding(RInterval._wrap(lo + hi, precision), *_band(value, digits))
+    assert endpoints.ln_end(1 << 70, -70, 64, True) == ((0, 0), None)
+
+
 # -- mpmath ----------------------------------------------------------------------
 
 
 def _raw_ends(iv: RInterval) -> tuple:
+    """The ends as raw libmp numbers."""
     v = iv._v
-    return numerics._raw(v[0], v[1]), numerics._raw(v[2], v[3])
+    return libmp.from_man_exp(v[0], v[1]), libmp.from_man_exp(v[2], v[3])
+
+
+def _holds_zero(lo, hi) -> bool:
+    return lo <= 0 <= hi
 
 
 def _libmp_int(n: int, precision: int) -> tuple:
@@ -222,7 +250,11 @@ def test_arithmetic_matches_libmp_bits(first, second):
     assert _raw_ends(a + b) == libmp.mpi_add(ra, rb, precision)
     assert _raw_ends(a - b) == libmp.mpi_sub(ra, rb, precision)
     assert _raw_ends(a * b) == libmp.mpi_mul(ra, rb, precision)
-    assert _raw_ends(a / b) == libmp.mpi_div(ra, rb, precision)
+    if _holds_zero(b_lo, b_hi):
+        with pytest.raises(ValueError, match="holds 0"):
+            a / b
+    else:
+        assert _raw_ends(a / b) == libmp.mpi_div(ra, rb, precision)
     assert _raw_ends(-a) == libmp.mpi_neg(ra, precision)
 
 
@@ -234,6 +266,10 @@ def test_arithmetic_matches_libmp_bits(first, second):
 def test_integer_powers_match_libmp_bits(first, n):
     precision, lo, hi = first
     a = RInterval(lo, hi, precision=precision)
+    if n < 0 and _holds_zero(lo, hi):
+        with pytest.raises(ValueError, match="holds 0"):
+            a**n
+        return
     n_mpi = (libmp.from_int(n), libmp.from_int(n))
     assert _raw_ends(a**n) == libmp.mpi_pow(_raw_ends(a), n_mpi, precision)
 
@@ -280,10 +316,9 @@ def test_decimal_ends_print_as_nstr(iv):
         assert (lo, hi) == (nstr(iv.lo, digits), nstr(iv.hi, digits))
 
 
-def test_decimal_ends_of_unbounded_and_zero_ends():
-    whole = RInterval(1, precision=64) / RInterval(-1, 1, precision=64)
-    assert whole.decimal_ends(24) == ("-inf", "+inf") == (nstr(whole.lo, 24), nstr(whole.hi, 24))
-    assert RInterval(0, precision=64).decimal_ends(24) == ("0.0", "0.0")
+def test_decimal_ends_of_zero_ends():
+    zero = RInterval(0, precision=64)
+    assert zero.decimal_ends(24) == ("0.0", "0.0") == (nstr(zero.lo, 24), nstr(zero.hi, 24))
 
 
 def test_float_of_an_end_is_mpmath_float():
@@ -297,15 +332,16 @@ def test_float_of_an_end_is_mpmath_float():
         iv = RInterval(m * scale, (m + 2) * scale, precision=precision)
         lo, hi = iv.exact_ends()
         assert float(lo) == float(iv.lo)
-        assert float((lo + hi) / 2) == float(iv.mid)
+        mid = libmp.mpf_shift(libmp.mpf_add(iv.lo._mpf_, iv.hi._mpf_), -1)  # exact
+        assert float((lo + hi) / 2) == libmp.to_float(mid, rnd=libmp.round_nearest)
 
 
 def test_libmp_constants_behind_huge_exponents():
     # digits past 2^3500 divide by a power of ten found with ln 2 and ln 10
     # truncated at a few bits; those must be libmp's truncations
     for p in range(6, 80):
-        assert numerics._raw(*endpoints.ln_end(1, 1, p, False)[0]) == libmp.mpf_ln2(p, "d")
-        assert numerics._raw(*endpoints.ln_end(5, 1, p, False)[0]) == libmp.mpf_ln10(p, "d")
+        assert libmp.from_man_exp(*endpoints.ln_end(1, 1, p, False)[0]) == libmp.mpf_ln2(p, "d")
+        assert libmp.from_man_exp(*endpoints.ln_end(5, 1, p, False)[0]) == libmp.mpf_ln10(p, "d")
 
 
 # -- cached values -------------------------------------------------------------------
@@ -320,17 +356,19 @@ def test_cached_constants_are_bit_equal_to_fresh_ones(precision):
         assert cached.exact_ends() == RInterval(n, precision=precision).ln().exact_ends()
     assert RInterval.pi(precision)._v == endpoints.pi_iv.__wrapped__(precision)
     for form, w in bounds.TAIL_START.items():
-        tail = bounds._tail_exp(form, precision)
+        tail = bounds._tail_start(form, precision)
         if tail is not None:
             assert tail.exact_ends() == RInterval(w, precision=precision).exp().exact_ends()
     with pytest.raises(ValueError):
         ln_constant(5, precision)
 
 
-def test_unbounded_intervals_refuse_arithmetic():
-    whole = RInterval(1, precision=64) / RInterval(0, 1, precision=64)
-    assert whole.exact_ends()[1] == float("inf")
-    for op in (lambda v: v + 1, lambda v: v * 2, lambda v: v.ln(), lambda v: v.exp(),
-               lambda v: v**2, lambda v: v.floor(), lambda v: v.sqrt()):
-        with pytest.raises(ValueError, match="unbounded"):
-            op(whole)
+def test_division_by_an_interval_that_holds_zero_raises():
+    # every end is finite: a divisor that holds 0 is invalid input
+    for divisor in ((0, 1), (-1, 1), (-1, 0)):
+        d = RInterval(*divisor, precision=64)
+        for num in (1, -1, 0):
+            with pytest.raises(ValueError, match="holds 0"):
+                RInterval(num, precision=64) / d
+            with pytest.raises(ValueError, match="holds 0"):
+                num / d

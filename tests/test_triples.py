@@ -91,8 +91,8 @@ def test_profile_round_trip(mn):
     if p.odd_member == 1:
         return
     prof = two_adic_profile(p)
-    assert prof.even_member() == p.even_member
-    assert prof.odd_member() == p.odd_member
+    assert (1 << prof.alpha) * prof.i == p.even_member
+    assert (1 << prof.beta) * prof.j + prof.e == p.odd_member
     assert prof.beta >= 2 and prof.i % 2 == 1 and prof.j % 2 == 1
     assert prof.e in (-1, 1)
 
