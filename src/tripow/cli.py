@@ -42,7 +42,7 @@ from .residues import jacobi, parity_engine, quadratic_sieve, quartic_symbol
 from .search import find_solutions, scan_range
 from .triples import PrimPair, exclusion_conditions, triple_of, two_adic_profile
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 ENV_PRECISION = "TRIPOW_PRECISION_BITS"
 
 THEOREM_DEFAULT_EXP10 = {"1.2": 109948, "1.3": 22933}
@@ -391,7 +391,12 @@ def _read_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             val = val.strip()
             if key in _INT_KEYS:
-                values[key] = int(val)
+                try:
+                    values[key] = int(val)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {key!r} must be an integer, not {val!r}"
+                    ) from None
             elif key in _STR_KEYS:
                 values[key] = val
             else:

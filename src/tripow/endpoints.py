@@ -523,85 +523,43 @@ def pi_iv(prec: int) -> tuple:
 
 
 # -- decimal strings ---------------------------------------------------------
-#
-# decimal_ends prints what mpmath.nstr prints for the same end, so reports
-# keep their bytes: libmp's to_str and to_digits_exp, restated on (m, e).
 
 
-def _numeral(n: int, size: int) -> str:
-    """libmp's numeral for n >= 0: str(n), split in halves from size 250."""
-    if size < 250 or not n:
-        return str(n)
-    half = size // 2 + (size & 1)
-    hi, lo = divmod(n, 10**half)
-    return _numeral(hi, half) + _numeral(lo, half).rjust(half, "0")
+def end_str(m: int, e: int, dps: int, up: bool) -> str:
+    """m 2^e rounded to dps >= 1 significant digits, toward +inf if up,
+    else -inf: a lo printed down and a hi printed up enclose the interval.
 
-
-def _digits_exp(m: int, e: int, dps: int) -> tuple:
-    """(digits, exponent) of m 2^e > 0, truncated to about dps digits, as
-    to_digits_exp gives them.  Past 2^3500 either way it first divides by
-    10^b, b = exp ln 2 / ln 10 truncated, with libmp's own roundings: ln 2
-    and ln 10 truncated at bitlen(exp) + 5 bits, a truncated quotient, the
-    power of ten from _pow_end, and a truncated division."""
-    bitprec = int(dps * math.log(10, 2)) + 10
-    tz = (m & -m).bit_length() - 1
-    m >>= tz
-    e += tz
-    exponent = 0
-    if abs(e + m.bit_length()) > 3500:
-        p = abs(e).bit_length() + 5
-        ln2, ln10 = ln_end(1, 1, p, False)[0], ln_end(5, 1, p, False)[0]
-        q, qe = _div(e * ln2[0], ln2[1], ln10[0], ln10[1], p, e < 0)
-        b = q << qe if qe >= 0 else -(-q >> -qe) if q < 0 else q >> -qe
-        if b >= 0:
-            ten = _pow_end(5, 1, b, bitprec, False) if b > 2 else (10**b, 0)
-        else:
-            ten = _pow_end(5, 1, -b, bitprec + 5, True) if b < -2 else (10**-b, 0)
-            ten = _div(1, 0, *ten, bitprec, False)
-        m, e = _div(m, e, *ten, bitprec, False)
-        exponent = b
-    fixprec = max(bitprec - e - m.bit_length(), 0)
-    fixdps = int(fixprec / math.log(10, 2) + 0.5)
-    shift = e + fixprec
-    fixed = m << shift if shift >= 0 else m >> -shift
-    digits = _numeral(fixed * 10**fixdps >> fixprec, dps)
-    return digits, exponent + len(digits) - fixdps - 1
-
-
-def end_str(m: int, e: int, dps: int) -> str:
-    """m 2^e as mpmath.nstr(x, dps) prints it, for dps >= 1: dps + 3
-    truncated digits, rounded half up on the next one, in fixed notation
-    when the leading digit's position is in (min(-dps // 3, -5), dps)."""
+    With |m| 2^e = d 10^k, 1 <= d < 10, the digits are q =
+    floor(|m| 2^e 10^(dps - 1 - k)) from one exact division, with k
+    estimated in floats and corrected until q has dps digits; only q is
+    ever printed.  The layout is mpmath.nstr's: fixed notation when k is
+    in (min(-dps // 3, -5), dps), trailing zeros stripped."""
     if not m:
         return "0.0"
+    a = abs(m)
+    k = math.floor(math.log10(a) + e * math.log10(2))
+    top = 10**dps
+    num, den = (a << e, 1) if e > 0 else (a, 1 << -e)
+    while True:
+        s = dps - 1 - k
+        q, r = divmod(num * 10**s, den) if s > 0 else divmod(num, den * 10**-s)
+        if q >= top:
+            k += 1
+        elif q * 10 < top:
+            k -= 1
+        else:
+            break
+    if r and up == (m > 0):  # round the magnitude up
+        q += 1
+        if q == top:
+            q //= 10
+            k += 1
+    digits, split = str(q), 1
+    if min(-(dps // 3), -5) < k < dps:
+        digits, split, k = "0" * -k + digits, max(k, 0) + 1, 0
     sign = "-" if m < 0 else ""
-    digits, exponent = _digits_exp(abs(m), e, dps + 3)
-    if len(digits) > dps and digits[dps] in "56789":
-        digits = digits[:dps]
-        i = dps - 1
-        while i >= 0 and digits[i] == "9":
-            i -= 1
-        if i >= 0:
-            digits = digits[:i] + str(int(digits[i]) + 1) + "0" * (dps - i - 1)
-        else:
-            digits = "1" + "0" * (dps - 1)
-            exponent += 1
-    else:
-        digits = digits[:dps]
-    split = 1
-    if min(-(dps // 3), -5) < exponent < dps:
-        if exponent < 0:
-            digits = "0" * -exponent + digits
-        else:
-            split = exponent + 1
-            digits += "0" * (split - dps)
-        exponent = 0
-    digits = (digits[:split] + "." + digits[split:]).rstrip("0")
-    if digits[-1] == ".":
-        digits += "0"
-    if not exponent:
-        return sign + digits
-    return f"{sign}{digits}e{'+' if exponent > 0 else ''}{exponent}"
+    body = digits[:split] + "." + (digits[split:].rstrip("0") or "0")
+    return sign + body + (f"e{k:+d}" if k else "")
 
 
 def exact_end(m: int, e: int) -> Fraction:

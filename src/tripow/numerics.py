@@ -353,11 +353,10 @@ class RInterval:
 
     def decimal_ends(self, digits: int) -> tuple[str, str]:
         """(lo, hi) as decimal strings of at most ``digits`` significant
-        digits, exactly as mpmath.nstr prints them.  Each is rounded to
-        nearest, not outward, so the printed pair need not enclose the
-        interval: decide on exact_ends, print with this."""
+        digits, lo rounded down and hi up, so the printed pair encloses
+        the interval."""
         v = self._v
-        return end_str(v[0], v[1], digits), end_str(v[2], v[3], digits)
+        return end_str(v[0], v[1], digits, False), end_str(v[2], v[3], digits, True)
 
     # -- queries -----------------------------------------------------------
 

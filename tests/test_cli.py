@@ -12,12 +12,12 @@ import mpmath
 import pytest
 
 import tripow
-from tripow import bounds
+from tripow import bounds, cli
 from tripow.cli import main
 from tripow.numerics import RInterval
 from tripow.triples import iter_pairs
 
-from enclosure import encloses
+from enclosure import assert_printed_ends_directed, encloses
 
 
 def run(capsys, *argv):
@@ -37,7 +37,7 @@ def run_json(capsys, *argv):
 def test_verify_smallest_pair(capsys):
     code, rep, _ = run_json(capsys, "verify", "--m", "2", "--n", "1")
     assert code == 0
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == 2
     assert rep["results"]["only_trivial"] is True
     assert rep["results"]["solutions"] == [
         {"x": 2, "y": 2, "z": 2, "exceptional": False}
@@ -251,7 +251,10 @@ def test_threshold_reports_match_pins(capsys):
     benchmark's ``Threshold(1)`` workload, both theorems at 128, 256 and
     384 bits, each at one point of the two certifying ``--at`` strata and
     one of the refuted stratum.  A change that is meant to alter these
-    reports must re-pin them the same way and say why.
+    reports must re-pin them the same way and say why.  Every pin was
+    re-pinned when ``lo`` and ``hi`` became rounded outward (schema
+    version 2): each string that changed is the other directed rounding of
+    the same end, and no other field changed.
     """
     check_pins(capsys, THRESHOLD_PINS, 23)
 
@@ -314,8 +317,31 @@ def test_laurent_verify_symbols_reports_match_pins(capsys):
     at 64, 128 and 256 bits; verify on two pairs of every parity-engine
     case, on both declined hypotheses and on a pair the engine does not
     cover, plus (1996, 1205) at cap 40 and 128 bits; and the two symbols.
+    Re-pinned like threshold_reports.json for schema version 2.
     """
     check_pins(capsys, COMMAND_PINS, 28)
+
+
+def test_pinned_reports_print_enclosing_ends(monkeypatch, capsys):
+    # every lo/hi a report prints encloses its interval's exact ends, and
+    # each is the nearest 24-digit decimal on its side
+    printed = []
+    real = cli._iv_json
+
+    def recorded(v):
+        out = real(v)
+        printed.append((v, out["lo"], out["hi"]))
+        return out
+
+    monkeypatch.setattr(cli, "_iv_json", recorded)
+    pins = json.loads(THRESHOLD_PINS.read_text()) + json.loads(COMMAND_PINS.read_text())
+    for pin in pins:
+        printed.clear()
+        code, out, _ = run(capsys, *pin["argv"])
+        assert code == pin["exit_code"]
+        assert out.count('"lo"') == len(printed), pin["argv"]
+        for v, lo, hi in printed:
+            assert_printed_ends_directed(v, lo, hi, 24)
 
 
 # -- symbols -----------------------------------------------------------------------
@@ -367,20 +393,26 @@ def test_laurent_worked_instance(capsys):
 
 
 # The worked instance, then one argv per benchmark stratum (L = 3, 6, 9).
-# Nothing here depends on the ln_b superfactorial sum's enclosure.
+# Nothing here depends on the ln_b superfactorial sum's enclosure.  The
+# (lo, hi) strings are rounded outward, so a narrow enclosure of a short
+# decimal such as -281207.2 prints as the 24-digit decimals either side.
 LAURENT_PINNED = [
     (("1100", "10"),
      dict(K=22678, L=6, R=1466, S=95, N=136068, b1=655, b2=655, g="46957/278540"),
-     "-281207.2", "-346250.842143310802106382"),
+     ("-281207.200000000000000001", "-281207.199999999999999999"),
+     ("-346250.842143310802106382", "-346250.842143310802106381")),
     (("1285", "0.175"),
      dict(K=13246, L=3, R=857, S=48, N=39738, b1=11, b2=11, g="13945/82272"),
-     "-82125.2", "-126377.851078220764768507"),
+     ("-82125.2000000000000000001", "-82125.1999999999999999999"),
+     ("-126377.851078220764768507", "-126377.851078220764768506")),
     (("1185", "10"),
      dict(K=24430, L=6, R=1580, S=95, N=146580, b1=658, b2=658, g="2531/15010"),
-     "-302932.0", "-373005.003331016332118717"),
+     ("-302932.000000000000000001", "-302931.999999999999999999"),
+     ("-373005.003331016332118718", "-373005.003331016332118717")),
     (("1085", "500"),
      dict(K=33552, L=9, R=2169, S=144, N=301968, b1=32762, b2=32762, g="245/1446"),
-     "-624067.2", "-694954.999057594307692795"),
+     ("-624067.200000000000000001", "-624067.199999999999999999"),
+     ("-694954.999057594307692795", "-694954.999057594307692794")),
 ]
 
 
@@ -398,8 +430,8 @@ def test_laurent_pinned_report_fields(capsys, args, fields, log_bound, log_form)
         "gL_term_below_closed_form": True,
         "ln_b_below_closed_form": True,
     }
-    assert res["log_bound"] == {"lo": log_bound, "hi": log_bound}
-    assert res["log_form_lower_bound"] == {"lo": log_form, "hi": log_form}
+    assert res["log_bound"] == dict(zip(("lo", "hi"), log_bound))
+    assert res["log_form_lower_bound"] == dict(zip(("lo", "hi"), log_form))
 
 
 def test_laurent_sums_superfactorial_once_per_instance(monkeypatch, capsys):
@@ -550,6 +582,14 @@ def test_config_output_path_belongs_to_scan_only(tmp_path, capsys):
     code, _, _ = run(capsys, "--config", str(cfg), "scan", "--m-max", "6", "--cap", "10")
     assert code == 0
     assert target.read_text().splitlines()[1] == "2,1,3,4,5,2,2,2,True"
+
+
+def test_config_file_non_integer_value_names_line_and_key(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("cap = 10\nm_max = 6x\n")
+    code, out, err = run(capsys, "--config", str(cfg), "scan")
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:2: 'm_max' must be an integer, not '6x'\n"
 
 
 def test_config_file_missing(capsys):

@@ -6,8 +6,10 @@
   side of that band, and the next prec-bit number past it on the other:
   every end is then the true directed rounding, not just an enclosure.
 * mpmath's libmp interval functions round +, -, *, /, integer powers and
-  the conversions the same way, so their bits must match, and mpmath.nstr
-  must print the same strings as decimal_ends.
+  the conversions the same way, so their bits must match.  decimal_ends
+  rounds lo down and hi up, checked against decimal's directed roundings;
+  mpmath.nstr rounds to nearest, so it must print one of an end's two
+  directed strings, in the same layout.
 """
 
 import random
@@ -22,6 +24,8 @@ from mpmath import libmp, nstr
 
 from tripow import bounds, endpoints
 from tripow.numerics import RInterval, ln_constant
+
+from enclosure import assert_printed_ends_directed
 
 PRECISIONS = (64, 80, 128, 192, 256, 384, 512, 1024)
 
@@ -288,9 +292,9 @@ def test_conversions_match_libmp_bits(precision, p, q):
 
 @st.composite
 def printable_ends(draw):
-    """Ends whose digit strings test nstr's rules: any size, binary
-    exponents past 3,500 either way, and digits ending in ...4999 or
-    ...9999 just past the 24th."""
+    """Ends whose digit strings test the rounding and the layout: any size,
+    binary exponents past 3,500 either way, and digits ending in ...4999
+    or ...9999 just past the 24th."""
     precision = draw(st.sampled_from(PRECISIONS))
     kind = draw(st.sampled_from(("any", "huge", "boundary")))
     sign = draw(st.sampled_from((1, -1)))
@@ -310,10 +314,14 @@ def printable_ends(draw):
 
 @settings(max_examples=500, deadline=None)
 @given(printable_ends())
-def test_decimal_ends_print_as_nstr(iv):
+def test_decimal_ends_round_outward(iv):
     for digits in (20, 24):
         lo, hi = iv.decimal_ends(digits)
-        assert (lo, hi) == (nstr(iv.lo, digits), nstr(iv.hi, digits))
+        assert_printed_ends_directed(iv, lo, hi, digits)
+        # nstr rounds to nearest, which is one of the two directed roundings
+        for (m, e), mp in ((iv._v[:2], iv.lo), (iv._v[2:], iv.hi)):
+            down, up = endpoints.end_str(m, e, digits, False), endpoints.end_str(m, e, digits, True)
+            assert nstr(mp, digits) in (down, up)
 
 
 def test_decimal_ends_of_zero_ends():
@@ -336,9 +344,9 @@ def test_float_of_an_end_is_mpmath_float():
         assert float((lo + hi) / 2) == libmp.to_float(mid, rnd=libmp.round_nearest)
 
 
-def test_libmp_constants_behind_huge_exponents():
-    # digits past 2^3500 divide by a power of ten found with ln 2 and ln 10
-    # truncated at a few bits; those must be libmp's truncations
+def test_ln_2_and_ln_10_at_a_few_bits_are_libmp_truncations():
+    # the decimal oracle's precisions start at 64 bits; ln_end rounds down
+    # below that too
     for p in range(6, 80):
         assert libmp.from_man_exp(*endpoints.ln_end(1, 1, p, False)[0]) == libmp.mpf_ln2(p, "d")
         assert libmp.from_man_exp(*endpoints.ln_end(5, 1, p, False)[0]) == libmp.mpf_ln10(p, "d")
